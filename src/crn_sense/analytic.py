@@ -15,7 +15,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .detector import BisectionConfig, Decision, ThresholdPair, bisection_optimum_threshold, single_threshold_decide
+from .detector import BisectionConfig, ThresholdPair
 from .specfun import gaussian_q, gaussian_q_inv, marcum_q, reg_upper_gamma
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "collision_single",
     "double_threshold_report",
     "threshold_for_target_pf",
+    "tails",
     "roc_analytic",
     "resolved_occupied_probability",
     "bisection_resolved_rates",
@@ -195,33 +196,43 @@ def threshold_for_target_pf(target_pf: float, noise_variance: float, num_samples
     return noise_variance * (1.0 + gaussian_q_inv(target_pf) * math.sqrt(2.0 / num_samples))
 
 
+def tails(params, form: str) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """(Pr[T > x | idle], Pr[T > x | busy]) of one formula family.
+
+    params carries the sensing configuration (window length, SNR,
+    noise variance, order); form picks the family. "gaussian" reads x
+    as mean square per sample; "gamma-marcum" reads it as collected
+    energy and scales it by the noise variance.
+    """
+    snr = params.snr_linear
+    if form == "gaussian":
+        def idle_tail(x: float) -> float:
+            return pf_gaussian(x, params.noise_variance, params.num_samples)
+
+        def busy_tail(x: float) -> float:
+            return pd_gaussian(x, params.noise_variance, snr, params.num_samples)
+    elif form == "gamma-marcum":
+        def idle_tail(x: float) -> float:
+            return pf_gamma(x / params.noise_variance, params.time_bandwidth)
+
+        def busy_tail(x: float) -> float:
+            return pd_marcum(x / params.noise_variance, snr, params.time_bandwidth)
+    else:
+        raise ValueError(f"form must be 'gaussian' or 'gamma-marcum', got {form!r}")
+    return idle_tail, busy_tail
+
+
 def roc_analytic(lambda_grid: Sequence[float], params, form: str = "gamma-marcum") -> RocCurve:
     """Closed-form operating curve over a threshold grid.
 
-    params carries the sensing configuration (window length, SNR,
-    noise variance, order); form picks the family. The grid may come
-    in any order; points are emitted by decreasing threshold.
+    params and form are as for tails. The grid may come in any order;
+    points are emitted by decreasing threshold.
     """
     grid = sorted(float(x) for x in lambda_grid)
     if not grid:
         raise ValueError("lambda_grid must be non-empty")
-    snr = params.snr_linear
-    if form == "gaussian":
-        def rates(lam: float) -> tuple[float, float]:
-            return (
-                pf_gaussian(lam, params.noise_variance, params.num_samples),
-                pd_gaussian(lam, params.noise_variance, snr, params.num_samples),
-            )
-    elif form == "gamma-marcum":
-        def rates(lam: float) -> tuple[float, float]:
-            scaled = lam / params.noise_variance
-            return pf_gamma(scaled, params.time_bandwidth), pd_marcum(scaled, snr, params.time_bandwidth)
-    else:
-        raise ValueError(f"form must be 'gaussian' or 'gamma-marcum', got {form!r}")
-    points = []
-    for lam in reversed(grid):
-        pf, pd = rates(lam)
-        points.append(RocPoint(pf=pf, pd=pd, threshold=lam))
+    idle_tail, busy_tail = tails(params, form)
+    points = [RocPoint(pf=idle_tail(lam), pd=busy_tail(lam), threshold=lam) for lam in reversed(grid)]
     return RocCurve(points=tuple(points))
 
 
@@ -237,16 +248,10 @@ def resolved_occupied_probability(
     of the 2^max_iter equal sub-cells of the band, and within a cell
     the verdict is too, so the in-band contribution is a finite sum of
     survival differences over the cells whose verdict is Occupied.
-    Each cell's verdict is obtained by running the actual bisection on
-    the cell midpoint; midpoints sit strictly between consecutive
-    bisection points, so no probe ever ties.
-
-    Only the min_tol = 0 configuration is supported: an early exit
-    makes the resolved threshold depend on the stopping step, and the
-    cell decomposition above no longer applies.
+    An energy in cell k ends in a bracket whose last halving kept the
+    upper half exactly when k is odd, and only then does it exceed the
+    last midpoint, so the Occupied cells are the odd-indexed ones.
     """
-    if config.min_tol != 0.0:
-        raise ValueError("closed form requires min_tol = 0")
     total = survival(pair.lambda_high)
     if pair.width == 0.0:
         return total
@@ -256,9 +261,7 @@ def resolved_occupied_probability(
     for index in reversed(range(cells)):
         lo = pair.lambda_low + index * step
         tail_lo = survival(lo)
-        probe = lo + step / 2.0
-        result = bisection_optimum_threshold(pair, probe, config)
-        if single_threshold_decide(probe, result.lambda_opt) is Decision.OCCUPIED:
+        if index % 2 == 1:
             total += max(0.0, tail_lo - tail_hi)
         tail_hi = tail_lo
     return min(1.0, total)

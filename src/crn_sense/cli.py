@@ -25,21 +25,21 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
-    pd_gaussian,
+    bisection_resolved_rates,
+    double_threshold_report,
     pd_marcum,
     pf_gamma,
-    pf_gaussian,
     resolved_occupied_probability,
+    tails,
 )
 from .detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from .montecarlo import (
     GenerativeModel,
     RateEstimate,
     TrialConfig,
-    _band_masks,
-    _resolve_occupied,
-    _statistics,
     collision_sweep,
+    count_band,
+    draw_statistics,
 )
 from .reference_tables import (
     COLLISION_ROWS,
@@ -53,7 +53,7 @@ from .reference_tables import (
     PF_DOUBLE_PRINTED,
     PM_DOUBLE_PRINTED,
 )
-from .signal_model import Hypothesis, SensingParams, SignalMode
+from .signal_model import SensingParams, SignalMode
 from .specfun import ConvergenceError
 
 __all__ = ["build_parser", "main"]
@@ -61,6 +61,16 @@ __all__ = ["build_parser", "main"]
 ROC_HEADER = "lambda,pf_analytic,pd_analytic,pf_emp,pd_emp,pf_ci,pd_ci"
 
 _MODES = {"baseband": SignalMode.BASEBAND_BPSK, "carrier": SignalMode.CARRIER_BPSK}
+
+# the closed-form family that describes each generative model's statistic
+_FORMS = {"sample": "gaussian", "chisq": "gamma-marcum"}
+
+# --which -> (fixture rows, printed double-threshold value, printed rate name, difference name)
+_COMPARISON_TABLES = {
+    2: (DETECTION_ROWS, PD_DOUBLE_PRINTED, "pd", "improvement"),
+    3: (FALSE_ALARM_ROWS, PF_DOUBLE_PRINTED, "pf", "deterioration"),
+    4: (MISS_ROWS, PM_DOUBLE_PRINTED, "pm", "improvement"),
+}
 
 
 def _fmt(value) -> str:
@@ -104,6 +114,13 @@ def _resolve_seed(flag_value: int | None) -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"CRN_SENSE_SEED must be an integer, got {raw!r}") from None
+
+
+def _flag_parameters(args: argparse.Namespace, **resolved) -> dict:
+    """Manifest parameters: every flag but --out, resolved values replacing raw ones."""
+    parameters = {key: value for key, value in vars(args).items() if key not in ("command", "func", "out")}
+    parameters.update(resolved)
+    return parameters
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -159,38 +176,15 @@ def _trial_config(args: argparse.Namespace, seed: int) -> TrialConfig:
     )
 
 
-def _survival_pair(args: argparse.Namespace, params: SensingParams):
-    """(Pr[stat > x | idle], Pr[stat > x | busy]) for the chosen model."""
-    snr = params.snr_linear
-    if args.model == "chisq":
-        u = params.time_bandwidth
-        var = params.noise_variance
-
-        def idle_tail(x: float) -> float:
-            return pf_gamma(x / var, u)
-
-        def busy_tail(x: float) -> float:
-            return pd_marcum(x / var, snr, u)
-
-    else:
-
-        def idle_tail(x: float) -> float:
-            return pf_gaussian(x, params.noise_variance, params.num_samples)
-
-        def busy_tail(x: float) -> float:
-            return pd_gaussian(x, params.noise_variance, snr, params.num_samples)
-
-    return idle_tail, busy_tail
-
-
 def _suffixed(path: str, suffix: str) -> str:
     root, ext = os.path.splitext(path)
     return f"{root}_{suffix}{ext or '.csv'}"
 
 
-def _rate_columns(successes: int, trials: int) -> tuple[float, float]:
-    estimate = RateEstimate(successes=successes, trials=trials)
-    return estimate.rate, estimate.ci95_halfwidth
+def _rate_columns(successes_h0: int, successes_h1: int, trials: int) -> list[float]:
+    pf = RateEstimate(successes_h0, trials)
+    pd = RateEstimate(successes_h1, trials)
+    return [pf.rate, pd.rate, pf.ci95_halfwidth, pd.ci95_halfwidth]
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -200,12 +194,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
     u = args.u
     bisection = BisectionConfig()
     rows: list[list] = []
-    if args.which in (2, 3, 4):
+    if args.which in _COMPARISON_TABLES:
         pair = ThresholdPair(DOUBLE_BAND_LOW, DOUBLE_BAND_HIGH)
-        fixture = {2: DETECTION_ROWS, 3: FALSE_ALARM_ROWS, 4: MISS_ROWS}[args.which]
-        baseline = {2: PD_DOUBLE_PRINTED, 3: PF_DOUBLE_PRINTED, 4: PM_DOUBLE_PRINTED}[args.which]
-        printed_name = {2: "pd", 3: "pf", 4: "pm"}[args.which]
-        diff_name = {2: "improvement", 3: "deterioration", 4: "improvement"}[args.which]
+        fixture, baseline, printed_name, diff_name = _COMPARISON_TABLES[args.which]
         header = (
             "row,sensed_energy,lambda_low,lambda_high,lambda_opt,"
             "analytic_pf_opt,analytic_pd_opt,analytic_pm_opt,"
@@ -215,10 +206,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
             f"paper_printed_{printed_name}_double,paper_printed_{diff_name},"
             f"recomputed_{diff_name}"
         )
-        pf_double = pf_gamma(pair.lambda_high, u)
-        pd_double = pd_marcum(pair.lambda_high, snr, u)
-        pc = 1.0 - pd_marcum(pair.lambda_low, snr, u)
-        pna = pf_gamma(pair.lambda_low, u)
+        double = double_threshold_report(pair, snr, u)
         for index, fixture_row in enumerate(fixture, start=1):
             resolved = bisection_optimum_threshold(pair, fixture_row.sensed_energy, bisection)
             pd_opt = pd_marcum(resolved.lambda_opt, snr, u)
@@ -232,11 +220,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
                     pf_gamma(resolved.lambda_opt, u),
                     pd_opt,
                     1.0 - pd_opt,
-                    pf_double,
-                    pd_double,
-                    1.0 - pd_double,
-                    pc,
-                    pna,
+                    double.pf,
+                    double.pd,
+                    double.pm,
+                    double.pc,
+                    double.pna,
                     fixture_row.lambda_opt,
                     fixture_row.probability,
                     baseline,
@@ -257,9 +245,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         for index, fixture_row in enumerate(COLLISION_ROWS, start=1):
             pair = ThresholdPair(fixture_row.lambda_low, fixture_row.lambda_high)
             resolved = bisection_optimum_threshold(pair, COLLISION_SENSED_ENERGY, bisection)
-            pd_double = pd_marcum(pair.lambda_high, snr, u)
-            pf_res = resolved_occupied_probability(pair, bisection, lambda x: pf_gamma(x, u))
-            pd_res = resolved_occupied_probability(pair, bisection, lambda x: pd_marcum(x, snr, u))
+            double = double_threshold_report(pair, snr, u)
+            pf_res, pd_res = bisection_resolved_rates(pair, snr, u, bisection)
             rows.append(
                 [
                     index,
@@ -267,11 +254,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
                     pair.lambda_high,
                     COLLISION_SENSED_ENERGY,
                     resolved.lambda_opt,
-                    pf_gamma(pair.lambda_high, u),
-                    pd_double,
-                    1.0 - pd_double,
-                    1.0 - pd_marcum(pair.lambda_low, snr, u),
-                    pf_gamma(pair.lambda_low, u),
+                    double.pf,
+                    double.pd,
+                    double.pm,
+                    double.pc,
+                    double.pna,
                     pf_res,
                     pd_res,
                     1.0 - pd_res,
@@ -284,14 +271,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
                 ]
             )
     _write_csv(args.out, header, rows)
-    parameters = {
-        "which": args.which,
-        "snr_db": args.snr_db,
-        "u": args.u,
-        "samples": args.samples,
-        "noise_var": args.noise_var,
-    }
-    _write_manifest(args.out, "tables", parameters, [args.out], time.monotonic() - start)
+    _write_manifest(args.out, "tables", _flag_parameters(args), [args.out], time.monotonic() - start)
     return 0
 
 
@@ -305,60 +285,39 @@ def cmd_roc(args: argparse.Namespace) -> int:
     if band_width < 0.0:
         raise ValueError("lambda_high must be >= lambda_low")
     bisection = BisectionConfig(max_iter=args.max_iter)
-    idle_tail, busy_tail = _survival_pair(args, params)
-    stats_h0 = _statistics(config, Hypothesis.H0)
-    stats_h1 = _statistics(config, Hypothesis.H1)
-    trials = config.num_trials
-    single_rows: list[list] = []
-    double_rows: list[list] = []
-    optimum_rows: list[list] = []
-    for lam in sorted(grid, reverse=True):
-        upper = lam + band_width
-        pair = ThresholdPair(lam, upper)
-        pf_emp, pf_ci = _rate_columns(int(np.count_nonzero(stats_h0 > lam)), trials)
-        pd_emp, pd_ci = _rate_columns(int(np.count_nonzero(stats_h1 > lam)), trials)
-        single_rows.append([lam, idle_tail(lam), busy_tail(lam), pf_emp, pd_emp, pf_ci, pd_ci])
-        pf_emp, pf_ci = _rate_columns(int(np.count_nonzero(stats_h0 > upper)), trials)
-        pd_emp, pd_ci = _rate_columns(int(np.count_nonzero(stats_h1 > upper)), trials)
-        double_rows.append([lam, idle_tail(upper), busy_tail(upper), pf_emp, pd_emp, pf_ci, pd_ci])
-        occ0, _idle0, fuzzy0 = _band_masks(stats_h0, pair)
-        occ1, _idle1, fuzzy1 = _band_masks(stats_h1, pair)
-        resolved0 = int(_resolve_occupied(stats_h0, occ0, fuzzy0, pair, bisection).sum())
-        resolved1 = int(_resolve_occupied(stats_h1, occ1, fuzzy1, pair, bisection).sum())
-        pf_emp, pf_ci = _rate_columns(resolved0, trials)
-        pd_emp, pd_ci = _rate_columns(resolved1, trials)
-        optimum_rows.append(
+    # pairs and closed forms come before the draw, so that an invalid
+    # level or a numeric failure costs no Monte Carlo time
+    pairs = [ThresholdPair(lam, lam + band_width) for lam in sorted(grid, reverse=True)]
+    idle_tail, busy_tail = tails(params, _FORMS[args.model])
+    curves: dict[str, list[list]] = {"single": [], "double": [], "optimum": []}
+    for pair in pairs:
+        lam, upper = pair.lambda_low, pair.lambda_high
+        curves["single"].append([lam, idle_tail(lam), busy_tail(lam)])
+        curves["double"].append([lam, idle_tail(upper), busy_tail(upper)])
+        curves["optimum"].append(
             [
                 lam,
                 resolved_occupied_probability(pair, bisection, idle_tail),
                 resolved_occupied_probability(pair, bisection, busy_tail),
-                pf_emp,
-                pd_emp,
-                pf_ci,
-                pd_ci,
             ]
         )
+    stats_h0, stats_h1 = draw_statistics(config)
+    trials = config.num_trials
+    for index, pair in enumerate(pairs):
+        level = ThresholdPair(pair.lambda_low, pair.lambda_low)
+        band0 = count_band(stats_h0, pair, bisection)
+        band1 = count_band(stats_h1, pair, bisection)
+        single0 = count_band(stats_h0, level).above
+        single1 = count_band(stats_h1, level).above
+        curves["single"][index] += _rate_columns(single0, single1, trials)
+        curves["double"][index] += _rate_columns(band0.above, band1.above, trials)
+        curves["optimum"][index] += _rate_columns(band0.resolved_occupied, band1.resolved_occupied, trials)
     outputs = []
-    for suffix, rows in (("single", single_rows), ("double", double_rows), ("optimum", optimum_rows)):
+    for suffix, rows in curves.items():
         path = _suffixed(args.out, suffix)
         _write_csv(path, ROC_HEADER, rows)
         outputs.append(path)
-    parameters = {
-        "snr_db": args.snr_db,
-        "u": args.u,
-        "samples": args.samples,
-        "noise_var": args.noise_var,
-        "trials": args.trials,
-        "seed": seed,
-        "chunks": args.chunks,
-        "model": args.model,
-        "mode": args.mode,
-        "grid": args.grid,
-        "lambda_low": args.lambda_low,
-        "lambda_high": args.lambda_high,
-        "max_iter": args.max_iter,
-    }
-    _write_manifest(args.out, "roc", parameters, outputs, time.monotonic() - start)
+    _write_manifest(args.out, "roc", _flag_parameters(args, seed=seed), outputs, time.monotonic() - start)
     return 0
 
 
@@ -369,6 +328,8 @@ def cmd_collision(args: argparse.Namespace) -> int:
     if args.paper_table5:
         if args.pair:
             raise ValueError("--paper-table5 and --pair are mutually exclusive")
+        if args.energy is not None:
+            raise ValueError("--paper-table5 and --energy are mutually exclusive")
         pairs = [ThresholdPair(r.lambda_low, r.lambda_high) for r in COLLISION_ROWS]
         energy = COLLISION_SENSED_ENERGY
     else:
@@ -402,21 +363,9 @@ def cmd_collision(args: argparse.Namespace) -> int:
             ]
         )
     _write_csv(args.out, header, rows)
-    parameters = {
-        "snr_db": args.snr_db,
-        "u": args.u,
-        "samples": args.samples,
-        "noise_var": args.noise_var,
-        "trials": args.trials,
-        "seed": seed,
-        "chunks": args.chunks,
-        "model": args.model,
-        "mode": args.mode,
-        "paper_table5": args.paper_table5,
-        "pairs": ";".join(f"{p.lambda_low}:{p.lambda_high}" for p in pairs),
-        "energy": energy,
-        "max_iter": args.max_iter,
-    }
+    pairs_text = ";".join(f"{p.lambda_low}:{p.lambda_high}" for p in pairs)
+    parameters = _flag_parameters(args, seed=seed, energy=energy, pairs=pairs_text)
+    del parameters["pair"]  # recorded as the parsed pairs
     _write_manifest(args.out, "collision", parameters, [args.out], time.monotonic() - start)
     return 0
 
@@ -435,13 +384,7 @@ def cmd_bisect(args: argparse.Namespace) -> int:
             for index, mid in enumerate(result.trace, start=1)
         ]
         _write_csv(args.out, "iteration,midpoint,is_final", rows)
-        parameters = {
-            "lambda_low": args.lambda_low,
-            "lambda_high": args.lambda_high,
-            "energy": args.energy,
-            "max_iter": args.max_iter,
-        }
-        _write_manifest(args.out, "bisect", parameters, [args.out], time.monotonic() - start)
+        _write_manifest(args.out, "bisect", _flag_parameters(args), [args.out], time.monotonic() - start)
     return 0
 
 
@@ -510,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     bisect.add_argument("--energy", type=float, required=True, help="sensed energy inside the band")
     bisect.add_argument("--max-iter", type=int, default=4, help="bisection depth")
     bisect.add_argument("--out", default=None, help="optional CSV path for the trace")
-    _add_sensing_flags(bisect)
     bisect.set_defaults(func=cmd_bisect)
 
     return parser

@@ -74,21 +74,13 @@ class ThresholdPair:
 
 @dataclass(frozen=True)
 class BisectionConfig:
-    """Iteration budget and early-exit tolerance for the band bisection.
-
-    min_tol = 0 disables the early exit, so exactly max_iter midpoints
-    are produced; that is the configuration all published threshold
-    tables use.
-    """
+    """Iteration budget for the band bisection: exactly max_iter midpoints."""
 
     max_iter: int = 4
-    min_tol: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if not (math.isfinite(self.min_tol) and self.min_tol >= 0.0):
-            raise ValueError(f"min_tol must be finite and >= 0, got {self.min_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -147,9 +139,6 @@ def bisection_optimum_threshold(
     end moves up to mid. A zero product (energy equal to an endpoint or
     to the midpoint) takes the otherwise branch, moving low. The
     resolved threshold is the last midpoint computed.
-
-    With min_tol > 0 the loop stops early once the bracket is narrower
-    than min_tol after an update.
     """
     _check_energy(energy)
     if not pair.lambda_low <= energy <= pair.lambda_high:
@@ -160,18 +149,14 @@ def bisection_optimum_threshold(
     low = pair.lambda_low
     high = pair.lambda_high
     trace: list[float] = []
-    iterations = 0
     for _ in range(config.max_iter):
         mid = (low + high) / 2.0
         trace.append(mid)
-        iterations += 1
         if (low - energy) * (mid - energy) < 0.0:
             high = mid
         else:
             low = mid
-        if config.min_tol > 0.0 and (high - low) < config.min_tol:
-            break
-    return BisectionResult(lambda_opt=trace[-1], iterations_used=iterations, trace=tuple(trace))
+    return BisectionResult(lambda_opt=trace[-1], iterations_used=len(trace), trace=tuple(trace))
 
 
 def resolve_fuzzy(

@@ -42,8 +42,11 @@ __all__ = [
     "GenerativeModel",
     "TrialConfig",
     "RateEstimate",
+    "BandCounts",
     "EmpiricalReport",
     "CollisionRow",
+    "draw_statistics",
+    "count_band",
     "estimate_single",
     "estimate_double",
     "roc_empirical",
@@ -108,6 +111,21 @@ class RateEstimate:
     def ci95_halfwidth(self) -> float:
         rate = self.rate
         return 1.96 * math.sqrt(rate * (1.0 - rate) / self.trials)
+
+
+@dataclass(frozen=True)
+class BandCounts:
+    """First-pass Occupied, Idle and Fuzzy counts against one threshold pair.
+
+    resolved_occupied counts the final Occupied verdicts of the
+    bisection-resolved detector, or is None if none was asked for.
+    Against a degenerate pair (lam, lam), above is the single-threshold count.
+    """
+
+    above: int
+    below: int
+    inside: int
+    resolved_occupied: int | None = None
 
 
 @dataclass(frozen=True)
@@ -219,13 +237,36 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
     return out
 
 
+def draw_statistics(
+    config: TrialConfig, n_h0: int | None = None, n_h1: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H0, H1) decision statistics, num_trials each unless n_h0 / n_h1 say otherwise.
+
+    Draw once and count every threshold against the same arrays.
+    """
+    return _statistics(config, Hypothesis.H0, n_h0), _statistics(config, Hypothesis.H1, n_h1)
+
+
+def count_band(stats: np.ndarray, pair: ThresholdPair, bisection: BisectionConfig | None = None) -> BandCounts:
+    """Verdict counts of `stats` against `pair`; resolves fuzzy trials given a bisection."""
+    occupied, idle, fuzzy = _band_masks(stats, pair)
+    resolved = None
+    if bisection is not None:
+        resolved = int(np.count_nonzero(_resolve_occupied(stats, occupied, fuzzy, pair, bisection)))
+    return BandCounts(
+        above=int(np.count_nonzero(occupied)),
+        below=int(np.count_nonzero(idle)),
+        inside=int(np.count_nonzero(fuzzy)),
+        resolved_occupied=resolved,
+    )
+
+
 def estimate_single(threshold: float, config: TrialConfig, truth: Hypothesis) -> RateEstimate:
     """Rate of the statistic exceeding a single threshold under `truth`."""
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
-    stats = _statistics(config, truth)
-    successes = int(np.count_nonzero(stats > threshold))
-    return RateEstimate(successes=successes, trials=config.num_trials)
+    counts = count_band(_statistics(config, truth), ThresholdPair(threshold, threshold))
+    return RateEstimate(successes=counts.above, trials=config.num_trials)
 
 
 def _band_masks(stats: np.ndarray, pair: ThresholdPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,23 +280,16 @@ def _bisect_array(energies: np.ndarray, pair: ThresholdPair, config: BisectionCo
     """Resolved thresholds for many in-band energies at once.
 
     Elementwise identical to bisection_optimum_threshold: same branch
-    rule, same early exit, same last-midpoint result.
+    rule, same last-midpoint result.
     """
     low = np.full(energies.shape, pair.lambda_low)
     high = np.full(energies.shape, pair.lambda_high)
-    result = np.empty(energies.shape)
-    active = np.ones(energies.shape, dtype=bool)
     for _ in range(config.max_iter):
         mid = (low + high) / 2.0
-        result[active] = mid[active]
         shrink_high = (low - energies) * (mid - energies) < 0.0
-        high = np.where(active & shrink_high, mid, high)
-        low = np.where(active & ~shrink_high, mid, low)
-        if config.min_tol > 0.0:
-            active = active & ~((high - low) < config.min_tol)
-            if not active.any():
-                break
-    return result
+        high = np.where(shrink_high, mid, high)
+        low = np.where(shrink_high, low, mid)
+    return mid
 
 
 def estimate_double(
@@ -284,20 +318,18 @@ def estimate_double(
         raise ValueError("num_trials too small for the requested split")
     if bisection is None:
         bisection = BisectionConfig()
-    stats_h0 = _statistics(config, Hypothesis.H0, n_h0)
-    stats_h1 = _statistics(config, Hypothesis.H1, n_h1)
-    occ0, idle0, fuzzy0 = _band_masks(stats_h0, pair)
-    occ1, idle1, fuzzy1 = _band_masks(stats_h1, pair)
+    stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
+    resolve = bisection if resolver == "bisection-resolve" else None
+    h0 = count_band(stats_h0, pair, resolve)
+    h1 = count_band(stats_h1, pair, resolve)
     if resolver == "report-fuzzy":
-        pf_succ = int(occ0.sum())
-        pd_succ = int(occ1.sum())
-        pc_succ = int(idle1.sum())
-        pna_succ = int(occ0.sum() + fuzzy0.sum())
+        pf_succ = h0.above
+        pd_succ = h1.above
+        pc_succ = h1.below
+        pna_succ = h0.above + h0.inside
     else:
-        final_occ0 = _resolve_occupied(stats_h0, occ0, fuzzy0, pair, bisection)
-        final_occ1 = _resolve_occupied(stats_h1, occ1, fuzzy1, pair, bisection)
-        pf_succ = int(final_occ0.sum())
-        pd_succ = int(final_occ1.sum())
+        pf_succ = h0.resolved_occupied
+        pd_succ = h1.resolved_occupied
         pc_succ = n_h1 - pd_succ
         pna_succ = pf_succ
     return EmpiricalReport(
@@ -306,8 +338,8 @@ def estimate_double(
         pm=RateEstimate(n_h1 - pd_succ, n_h1),
         pc=RateEstimate(pc_succ, n_h1),
         pna=RateEstimate(pna_succ, n_h0),
-        fuzzy_rate_h0=RateEstimate(int(fuzzy0.sum()), n_h0),
-        fuzzy_rate_h1=RateEstimate(int(fuzzy1.sum()), n_h1),
+        fuzzy_rate_h0=RateEstimate(h0.inside, n_h0),
+        fuzzy_rate_h1=RateEstimate(h1.inside, n_h1),
     )
 
 
@@ -333,16 +365,15 @@ def roc_empirical(lambda_grid: Sequence[float], config: TrialConfig) -> RocCurve
     the whole grid (common random numbers), so the curve is monotone
     by construction, not just in expectation.
     """
-    grid = sorted(float(x) for x in lambda_grid)
-    if not grid:
+    levels = [ThresholdPair(lam, lam) for lam in sorted((float(x) for x in lambda_grid), reverse=True)]
+    if not levels:
         raise ValueError("lambda_grid must be non-empty")
-    stats_h0 = _statistics(config, Hypothesis.H0)
-    stats_h1 = _statistics(config, Hypothesis.H1)
+    stats_h0, stats_h1 = draw_statistics(config)
     points = []
-    for lam in reversed(grid):
-        pf = int(np.count_nonzero(stats_h0 > lam)) / config.num_trials
-        pd = int(np.count_nonzero(stats_h1 > lam)) / config.num_trials
-        points.append(RocPoint(pf=pf, pd=pd, threshold=lam))
+    for level in levels:
+        pf = count_band(stats_h0, level).above / config.num_trials
+        pd = count_band(stats_h1, level).above / config.num_trials
+        points.append(RocPoint(pf=pf, pd=pd, threshold=level.lambda_low))
     return RocCurve(points=tuple(points))
 
 
@@ -375,21 +406,19 @@ def collision_sweep(
     n_h0 = config.num_trials - n_h1
     if n_h0 < 1:
         raise ValueError("num_trials too small for the half/half split")
-    stats_h0 = _statistics(config, Hypothesis.H0, n_h0)
-    stats_h1 = _statistics(config, Hypothesis.H1, n_h1)
+    stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
     rows = []
     for pair, energy in zip(pairs, scenarios):
         resolved = bisection_optimum_threshold(pair, energy, bisection)
-        occ0, _idle0, fuzzy0 = _band_masks(stats_h0, pair)
-        occ1, idle1, fuzzy1 = _band_masks(stats_h1, pair)
-        final_occ1 = _resolve_occupied(stats_h1, occ1, fuzzy1, pair, bisection)
+        h0 = count_band(stats_h0, pair)
+        h1 = count_band(stats_h1, pair, bisection)
         rows.append(
             CollisionRow(
                 pair=pair,
                 lambda_opt=resolved.lambda_opt,
-                pc_double=RateEstimate(int(idle1.sum()), n_h1),
-                pc_optimum=RateEstimate(n_h1 - int(final_occ1.sum()), n_h1),
-                pf=RateEstimate(int(occ0.sum()), n_h0),
+                pc_double=RateEstimate(h1.below, n_h1),
+                pc_optimum=RateEstimate(n_h1 - h1.resolved_occupied, n_h1),
+                pf=RateEstimate(h0.above, n_h0),
             )
         )
     return rows

@@ -72,21 +72,3 @@ def sample_energy_sf_oracle(lam: float, num_samples: int, noise_variance: float,
     """
     scaled = num_samples * lam / noise_variance
     return noncentral_chi2_sf_oracle(scaled, num_samples, num_samples * snr_linear)
-
-
-def resolved_occupied_oracle(lambda_low: float, lambda_high: float, max_iter: int, survival) -> float:
-    """Closed-form occupied probability for the resolved detector.
-
-    Derivation independent of the package's probe loop: after max_iter
-    branch steps the final verdict is Occupied exactly when the last
-    step kept the upper half, which happens on the odd-indexed cells of
-    the 2^max_iter uniform partition of the band.
-    """
-    total = survival(lambda_high)
-    cells = 2**max_iter
-    step = (lambda_high - lambda_low) / cells
-    for index in range(1, cells, 2):
-        lo = lambda_low + index * step
-        hi = lo + step
-        total += survival(lo) - survival(hi)
-    return total

@@ -27,7 +27,7 @@ from crn_sense.analytic import (
 )
 from crn_sense.cli import main
 from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
-from crn_sense.montecarlo import GenerativeModel, TrialConfig, _band_masks, _statistics
+from crn_sense.montecarlo import GenerativeModel, TrialConfig, count_band, draw_statistics
 from crn_sense.reference_tables import (
     COLLISION_ROWS,
     COLLISION_SENSED_ENERGY,
@@ -40,7 +40,6 @@ from crn_sense.reference_tables import (
     PF_DOUBLE_PRINTED,
     PM_DOUBLE_PRINTED,
 )
-from crn_sense.signal_model import Hypothesis
 from crn_sense.specfun import gaussian_q, marcum_q, reg_upper_gamma
 
 from conftest import record_acceptance
@@ -211,21 +210,19 @@ def _rate_sweep(model, grid, width, idle_tail, busy_tail):
     trials = 100000
     config = TrialConfig(num_trials=trials, seed=0, model=model)
     start = time.monotonic()
-    stats_h0 = _statistics(config, Hypothesis.H0)
-    stats_h1 = _statistics(config, Hypothesis.H1)
+    stats_h0, stats_h1 = draw_statistics(config)
     checks = 0
     failures = []
     for lam in grid:
         pair = ThresholdPair(lam, lam + width)
-        occ0, _idle0, fuzzy0 = _band_masks(stats_h0, pair)
-        occ1, idle1, _fuzzy1 = _band_masks(stats_h1, pair)
-        pd_succ = int(occ1.sum())
+        h0 = count_band(stats_h0, pair)
+        h1 = count_band(stats_h1, pair)
         observed = {
-            "pf": (int(occ0.sum()) / trials, idle_tail(pair.lambda_high)),
-            "pd": (pd_succ / trials, busy_tail(pair.lambda_high)),
-            "pm": ((trials - pd_succ) / trials, 1.0 - busy_tail(pair.lambda_high)),
-            "pc": (int(idle1.sum()) / trials, 1.0 - busy_tail(pair.lambda_low)),
-            "pna": (int((occ0 | fuzzy0).sum()) / trials, idle_tail(pair.lambda_low)),
+            "pf": (h0.above / trials, idle_tail(pair.lambda_high)),
+            "pd": (h1.above / trials, busy_tail(pair.lambda_high)),
+            "pm": ((trials - h1.above) / trials, 1.0 - busy_tail(pair.lambda_high)),
+            "pc": (h1.below / trials, 1.0 - busy_tail(pair.lambda_low)),
+            "pna": ((h0.above + h0.inside) / trials, idle_tail(pair.lambda_low)),
         }
         for name, (emp, truth) in observed.items():
             checks += 1

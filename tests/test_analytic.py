@@ -30,10 +30,14 @@ from crn_sense.analytic import (
     roc_analytic,
     threshold_for_target_pf,
 )
-from crn_sense.detector import BisectionConfig, ThresholdPair
+from crn_sense.detector import (
+    BisectionConfig,
+    Decision,
+    ThresholdPair,
+    bisection_optimum_threshold,
+    single_threshold_decide,
+)
 from crn_sense.signal_model import SensingParams
-
-from oracles import resolved_occupied_oracle
 
 SNR = 10.0 ** (-14.0 / 10.0)  # 0.039810717055349734
 
@@ -276,16 +280,40 @@ class TestResolvedOccupied:
     def survival_pd(self, x):
         return float(ncx2.sf(x, 10, 2.0 * SNR))
 
+    @staticmethod
+    def probe_occupied_probability(pair, config, survival):
+        """The resolved detector's occupied probability by running it.
+
+        Each of the 2^d equal cells takes the verdict the scalar
+        detector gives its midpoint (midpoints never tie a bisection
+        point); the verdicts are returned with the probability.
+        """
+        cells = 2**config.max_iter
+        step = pair.width / cells
+        total = survival(pair.lambda_high)
+        verdicts = []
+        for index in range(cells):
+            lo = pair.lambda_low + index * step
+            probe = lo + step / 2.0
+            resolved = bisection_optimum_threshold(pair, probe, config).lambda_opt
+            verdicts.append(single_threshold_decide(probe, resolved))
+            if verdicts[-1] is Decision.OCCUPIED:
+                total += survival(lo) - survival(lo + step)
+        return total, verdicts
+
     def test_against_parity_oracle(self):
-        # independent derivation: after d halvings the verdict on the
-        # k-th of 2^d equal cells is Occupied exactly when k is odd
+        # independent route: run the scalar bisection on every cell
+        # midpoint; its verdict on the k-th of 2^d equal cells must be
+        # Occupied exactly when k is odd, the rule the closed form sums
         for lo, hi in [(12.0, 18.0), (8.0, 20.0), (7.0, 22.0), (0.5, 4.0)]:
             pair = ThresholdPair(lo, hi)
-            for depth in (1, 2, 3, 4, 6):
+            for depth in (1, 2, 3, 4, 5, 6):
                 config = BisectionConfig(max_iter=depth)
                 for survival in (self.survival_pf, self.survival_pd):
                     got = resolved_occupied_probability(pair, config, survival)
-                    want = resolved_occupied_oracle(lo, hi, depth, survival)
+                    want, verdicts = self.probe_occupied_probability(pair, config, survival)
+                    odd = [Decision.OCCUPIED if k % 2 else Decision.IDLE for k in range(2**depth)]
+                    assert verdicts == odd, (lo, hi, depth)
                     assert got == pytest.approx(want, abs=1e-12), (lo, hi, depth)
 
     def test_frozen_rates(self):
@@ -315,9 +343,3 @@ class TestResolvedOccupied:
         pair = ThresholdPair(15.0, 15.0)
         got = resolved_occupied_probability(pair, BisectionConfig(), self.survival_pf)
         assert got == self.survival_pf(15.0)
-
-    def test_rejects_early_exit_config(self):
-        with pytest.raises(ValueError):
-            resolved_occupied_probability(
-                ThresholdPair(12.0, 18.0), BisectionConfig(min_tol=0.5), self.survival_pf
-            )

@@ -4,6 +4,8 @@ The table goldens under tests/golden/ were produced by the CLI
 itself, then spot-audited cell by cell against the frozen analytic
 pins before being committed; comparing bytes here keeps header
 wording, column order, and the %.17g cell format all locked at once.
+The roc and collision goldens were recorded the same way and pin the
+Monte Carlo columns too, which are fixed by the seed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 
 import pytest
 
+from crn_sense import cli
 from crn_sense.cli import ROC_HEADER, build_parser, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -103,11 +106,31 @@ class TestBisect:
         assert main(["bisect", "--energy", "25"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_sensing_flags_are_not_accepted(self, capsys):
+        # the trace depends on the band, the energy and the depth only
+        for flag, value in (("--snr-db", "99"), ("--u", "3"), ("--samples", "7"), ("--noise-var", "5")):
+            assert main(["bisect", "--energy", "12.5", flag, value]) == 2, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestRoc:
     ARGS = [
         "roc", "--grid", "6:18:5", "--trials", "2048", "--seed", "3",
     ]
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("roc_chisq", []),
+            ("roc_sample", ["--model", "sample", "--grid", "0.9:1.1:5", "--lambda-low", "0.97", "--lambda-high", "1.03"]),
+        ],
+    )
+    def test_matches_golden(self, tmp_path, name, extra):
+        out = str(tmp_path / f"{name}.csv")
+        assert main(self.ARGS + extra + ["--out", out]) == 0
+        for suffix in ("single", "double", "optimum"):
+            got = read(str(tmp_path / f"{name}_{suffix}.csv"))
+            assert got == read(os.path.join(GOLDEN_DIR, f"{name}_{suffix}.csv")), suffix
 
     def test_writes_three_variant_files(self, tmp_path):
         out = str(tmp_path / "curve.csv")
@@ -170,6 +193,7 @@ class TestCollision:
             14.75, 21.0625, 15.0, 13.8125, 13.375, 14.0, 13.6875, 14.8125,
         ]
         assert all(float(r["sensed_energy"]) == 14.5 for r in rows)
+        assert read(out) == read(os.path.join(GOLDEN_DIR, "collision_table5.csv"))
 
     def test_explicit_pairs(self, tmp_path):
         out = str(tmp_path / "coll.csv")
@@ -188,6 +212,7 @@ class TestCollision:
         assert main([
             "collision", "--paper-table5", "--pair", "12:18", "--energy", "1", "--out", out,
         ]) == 2
+        assert main(["collision", "--paper-table5", "--energy", "3", "--out", out]) == 2
         assert main([
             "collision", "--pair", "18:12", "--energy", "14.5", "--out", out,
         ]) == 2
@@ -245,6 +270,19 @@ class TestExitCodes:
         code = main(["roc", "--grid", "5:1:10", "--trials", "16", "--out", str(tmp_path / "r.csv")])
         assert code == 2
         capsys.readouterr()
+
+    def test_roc_fails_before_drawing_trials(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trials drawn before the failure")
+
+        monkeypatch.setattr(cli, "draw_statistics", no_draw)
+        out = str(tmp_path / "r.csv")
+        # a negative lower level is rejected; a 30 dB Marcum series fails
+        assert main(["roc", "--model", "sample", "--grid=-1:1:3", "--trials", "20000", "--out", out]) == 2
+        assert "lambda_low" in capsys.readouterr().err
+        assert main(["roc", "--snr-db", "30", "--trials", "20000", "--out", out]) == 1
+        assert "numeric failure" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r_single.csv"))
 
 
 class TestParser:

@@ -116,15 +116,10 @@ class TestBisectionConfig:
     def test_defaults(self):
         config = BisectionConfig()
         assert config.max_iter == 4
-        assert config.min_tol == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BisectionConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            BisectionConfig(min_tol=-1.0)
-        with pytest.raises(ValueError):
-            BisectionConfig(min_tol=math.nan)
 
 
 class TestBisection:
@@ -164,13 +159,6 @@ class TestBisection:
             bisection_optimum_threshold(pair, 11.9)
         with pytest.raises(ValueError):
             bisection_optimum_threshold(pair, 18.1)
-
-    def test_min_tol_early_exit(self):
-        config = BisectionConfig(max_iter=4, min_tol=9.0)
-        result = bisection_optimum_threshold(ThresholdPair(0.0, 16.0), 5.1, config)
-        assert result.trace == (8.0,)
-        assert result.iterations_used == 1
-        assert result.lambda_opt == 8.0
 
     def test_deep_convergence_to_energy(self):
         rng = np.random.default_rng(101)

@@ -177,8 +177,8 @@ class TestBisectArray:
         for config in (
             BisectionConfig(),
             BisectionConfig(max_iter=7),
-            BisectionConfig(max_iter=10, min_tol=0.7),
-            BisectionConfig(max_iter=3, min_tol=2.0),
+            BisectionConfig(max_iter=10),
+            BisectionConfig(max_iter=3),
         ):
             resolved = _bisect_array(energies, pair, config)
             for energy, got in zip(energies, resolved):
@@ -297,6 +297,11 @@ class TestRocEmpirical:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             roc_empirical([], self.CONFIG)
+
+    def test_negative_threshold_rejected(self):
+        # as in estimate_single: the statistic is an energy, never negative
+        with pytest.raises(ValueError):
+            roc_empirical([-1.0, 2.0], self.CONFIG)
 
 
 class TestCollisionSweep:
