@@ -33,6 +33,7 @@ from .signal_model import (
     SignalMode,
     block_generator,
     bpsk_matrix,
+    check_uint64,
     noise_matrix,
     standard_normal,
 )
@@ -55,7 +56,6 @@ __all__ = [
 
 BLOCK_TRIALS = 1024
 
-_MAX_UINT64 = 2**64
 _PURPOSE_SHIFT = 48  # block index lives in the low 48 bits of the stream id
 
 
@@ -80,8 +80,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.num_trials < 1:
             raise ValueError(f"num_trials must be >= 1, got {self.num_trials!r}")
-        if not 0 <= self.seed < _MAX_UINT64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_uint64("seed", self.seed)
         if self.parallel_chunks < 1:
             raise ValueError(f"parallel_chunks must be >= 1, got {self.parallel_chunks!r}")
         if not isinstance(self.mode, SignalMode):
@@ -292,6 +291,18 @@ def _bisect_array(energies: np.ndarray, pair: ThresholdPair, config: BisectionCo
     return mid
 
 
+def _split_trials(num_trials: int, h1_fraction: float) -> tuple[int, int]:
+    """(n_h0, n_h1) with n_h1 = floor(num_trials * h1_fraction + 1/2).
+
+    Ties round up, so an odd total at one half gives H1 the extra trial.
+    """
+    n_h1 = math.floor(num_trials * h1_fraction + 0.5)
+    n_h0 = num_trials - n_h1
+    if n_h0 < 1 or n_h1 < 1:
+        raise ValueError(f"num_trials={num_trials!r} too small for an H1 fraction of {h1_fraction!r}")
+    return n_h0, n_h1
+
+
 def estimate_double(
     pair: ThresholdPair,
     config: TrialConfig,
@@ -312,10 +323,7 @@ def estimate_double(
         raise ValueError(f"unknown resolver: {resolver!r}")
     if not 0.0 < h1_fraction < 1.0:
         raise ValueError(f"h1_fraction must lie in (0, 1), got {h1_fraction!r}")
-    n_h1 = round(config.num_trials * h1_fraction)
-    n_h0 = config.num_trials - n_h1
-    if n_h0 < 1 or n_h1 < 1:
-        raise ValueError("num_trials too small for the requested split")
+    n_h0, n_h1 = _split_trials(config.num_trials, h1_fraction)
     if bisection is None:
         bisection = BisectionConfig()
     stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
@@ -402,10 +410,7 @@ def collision_sweep(
         )
     if bisection is None:
         bisection = BisectionConfig()
-    n_h1 = config.num_trials - config.num_trials // 2
-    n_h0 = config.num_trials - n_h1
-    if n_h0 < 1:
-        raise ValueError("num_trials too small for the half/half split")
+    n_h0, n_h1 = _split_trials(config.num_trials, 0.5)
     stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
     rows = []
     for pair, energy in zip(pairs, scenarios):

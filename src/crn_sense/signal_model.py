@@ -25,6 +25,7 @@ __all__ = [
     "SampleBlock",
     "snr_db_to_linear",
     "snr_linear_to_db",
+    "check_uint64",
     "block_generator",
     "standard_normal",
     "noise_matrix",
@@ -114,12 +115,16 @@ def snr_linear_to_db(snr_linear: float) -> float:
     return 10.0 * math.log10(snr_linear)
 
 
+def check_uint64(name: str, value: int) -> None:
+    """Reject a seed or stream id that does not fit Philox's 64-bit key words."""
+    if not 0 <= value < _MAX_UINT64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+
+
 def block_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); same pair, same draws."""
-    if not 0 <= seed < _MAX_UINT64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if not 0 <= stream < _MAX_UINT64:
-        raise ValueError(f"stream must be a 64-bit unsigned integer, got {stream!r}")
+    check_uint64("seed", seed)
+    check_uint64("stream", stream)
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

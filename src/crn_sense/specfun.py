@@ -4,11 +4,18 @@ Self-contained on purpose: only the standard library is used, so the
 probability stack has no numerical dependency to drift under it. The
 accuracy target throughout is absolute error well below 1e-8 over the
 argument ranges a detection problem produces.
+
+The Marcum Q series needs an upper gamma tail at each order u, u+1,
+...; for an integer u below the exp(-x) underflow these are partial
+sums of one running product, stepped at O(1) each, and otherwise each
+tail is evaluated afresh.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -103,10 +110,8 @@ def reg_upper_gamma(u: float, x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> f
         raise ValueError(f"reg_upper_gamma needs x >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
-    # exp(-x) underflows near 709; beyond that the finite sum cannot be
-    # built term by term, so fall through to the continued fraction.
-    if u == math.floor(u) and u <= 1e6 and x < 700.0:
-        return _upper_gamma_finite_sum(int(u), x)
+    if _takes_finite_sum(u, x):
+        return _clip_unit(_finite_sum(int(u), x)[1])
     if x < u + 1.0:
         return _clip_unit(1.0 - _lower_gamma_series(u, x, tol))
     return _clip_unit(_upper_gamma_cf(u, x, tol))
@@ -116,15 +121,35 @@ def _clip_unit(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
-def _upper_gamma_finite_sum(n: int, x: float) -> float:
-    # Running product keeps every term in range even when x^k alone
+def _takes_finite_sum(u: float, x: float) -> bool:
+    # exp(-x) underflows near 709; beyond that the finite sum cannot be
+    # built term by term, so fall through to the continued fraction.
+    return u == math.floor(u) and u <= 1e6 and x < 700.0
+
+
+def _finite_sum(n: int, x: float) -> tuple[float, float]:
+    # (last term, partial sum) of exp(-x) * sum_{k<n} x^k / k!. The
+    # running product keeps every term in range even when x^k alone
     # would overflow (n, x up to several hundred).
     term = math.exp(-x)
-    total = term
+    partial = term
     for k in range(1, n):
         term *= x / k
-        total += term
-    return _clip_unit(total)
+        partial += term
+    return term, partial
+
+
+def _finite_sum_tails(n: int, x: float) -> Iterator[float]:
+    # Yields reg_upper_gamma(n + k, x) for k = 0, 1, ...: the finite sum
+    # of order n + k is the one of order n + k - 1 plus one more term of
+    # the same running product, so each tail after the first costs one
+    # step and has the bits reg_upper_gamma gives.
+    term, partial = _finite_sum(n, x)
+    while True:
+        yield _clip_unit(partial)
+        term *= x / n
+        partial += term
+        n += 1
 
 
 def _lower_gamma_series(u: float, x: float, tol: Tolerance) -> float:
@@ -168,9 +193,17 @@ def marcum_q(u: float, a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -
     """Generalized Marcum Q of order u >= 1, Q_u(a, b).
 
     Canonical series: Q_u(a, b) = sum_k Pois(k; a^2/2) *
-    reg_upper_gamma(u + k, b^2/2). Truncation stops once the remaining
-    Poisson mass cannot move the result past the tolerance (every gamma
-    tail factor is at most one).
+    reg_upper_gamma(u + k, b^2/2), summed from k = 0. Truncation stops
+    once the remaining Poisson mass cannot move the result past the
+    tolerance (every gamma tail factor is at most one).
+
+    When reg_upper_gamma would take its finite sum for every order the
+    series can reach (integer u, b^2/2 < 700, u + max_terms <= 1e6), the
+    tails come from one running finite sum advanced a term per Poisson
+    step: the same operations in the same order, so the same bits, at
+    O(1) per tail instead of O(u + k). Otherwise each tail is a fresh
+    reg_upper_gamma call. The series start exp(-a^2/2) underflows once
+    a^2/2 passes about 745 (28.7 dB), and ConvergenceError is raised.
     """
     if not (math.isfinite(u) and u >= 1.0):
         raise ValueError(f"marcum_q needs order u >= 1, got {u!r}")
@@ -186,13 +219,20 @@ def marcum_q(u: float, a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -
     x = 0.5 * b * b
     pois = math.exp(-h)
     if pois == 0.0:
-        raise ConvergenceError(f"noncentrality a={a!r} too large for the series start")
+        raise ConvergenceError(
+            f"marcum_q series start underflows at u={u!r}, a={a!r}: SNR a^2/2 = {h:.6g} "
+            f"({10.0 * math.log10(h):.2f} dB), and exp(-a^2/2) underflows to 0 past about 28.7 dB"
+        )
+    if _takes_finite_sum(u + tol.max_terms, x):  # so does every lower order
+        tails = _finite_sum_tails(int(u), x)
+    else:
+        tails = (reg_upper_gamma(u + k, x, tol) for k in itertools.count())
     mass = pois
-    total = pois * reg_upper_gamma(u, x, tol)
+    total = pois * next(tails)
     for k in range(1, tol.max_terms + 1):
         pois *= h / k
         mass += pois
-        total += pois * reg_upper_gamma(u + k, x, tol)
+        total += pois * next(tails)
         if 1.0 - mass <= tol.abs_tol * (1.0 + total):
             return _clip_unit(total)
     raise ConvergenceError(f"marcum_q series stalled at u={u!r}, a={a!r}, b={b!r}")

@@ -5,7 +5,11 @@ itself, then spot-audited cell by cell against the frozen analytic
 pins before being committed; comparing bytes here keeps header
 wording, column order, and the %.17g cell format all locked at once.
 The roc and collision goldens were recorded the same way and pin the
-Monte Carlo columns too, which are fixed by the seed.
+Monte Carlo columns too, which are fixed by the seed. The 20 dB
+tables and the 25 dB chi-square roc pin the regime where the Marcum
+series runs to hundreds of terms; they were recorded while each term
+still called reg_upper_gamma afresh, so they hold the running-sum
+series to the bytes of the plain one.
 """
 
 from __future__ import annotations
@@ -41,6 +45,14 @@ class TestTables:
         out = str(tmp_path / "t5.csv")
         assert main(["tables", "--which", "5", "--out", out]) == 0
         assert read(out) == read(os.path.join(GOLDEN_DIR, "tables5.csv"))
+
+    @pytest.mark.parametrize("which", ["2", "3", "4", "5"])
+    def test_20db_matches_golden(self, tmp_path, which):
+        # at 20 dB the Marcum series runs to a few hundred terms, so these
+        # pin the long-series bytes that the default 10 dB tables do not
+        out = str(tmp_path / f"t{which}.csv")
+        assert main(["tables", "--which", which, "--snr-db", "20", "--out", out]) == 0
+        assert read(out) == read(os.path.join(GOLDEN_DIR, f"tables{which}_20db.csv"))
 
     def test_table2_resolved_thresholds(self, tmp_path):
         out = str(tmp_path / "t2.csv")
@@ -123,6 +135,10 @@ class TestRoc:
         [
             ("roc_chisq", []),
             ("roc_sample", ["--model", "sample", "--grid", "0.9:1.1:5", "--lambda-low", "0.97", "--lambda-high", "1.03"]),
+            (
+                "roc_chisq25",
+                ["--snr-db", "25", "--grid", "630:660:3", "--lambda-low", "0", "--lambda-high", "30", "--seed", "5"],
+            ),
         ],
     )
     def test_matches_golden(self, tmp_path, name, extra):
@@ -281,7 +297,9 @@ class TestExitCodes:
         assert main(["roc", "--model", "sample", "--grid=-1:1:3", "--trials", "20000", "--out", out]) == 2
         assert "lambda_low" in capsys.readouterr().err
         assert main(["roc", "--snr-db", "30", "--trials", "20000", "--out", out]) == 1
-        assert "numeric failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric failure" in err
+        assert "SNR a^2/2 = 1000 (30.00 dB)" in err and "28.7 dB" in err
         assert not os.path.exists(str(tmp_path / "r_single.csv"))
 
 

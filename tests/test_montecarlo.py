@@ -257,6 +257,15 @@ class TestEstimateDouble:
         assert report.pd.trials == 3
         assert report.pf.trials == 7
 
+    @pytest.mark.parametrize("n", [5, 7, 9, 11])
+    def test_odd_split_gives_h1_the_extra_trial(self, n):
+        # one rule for both: n_h1 = floor(n / 2 + 1/2), never round-half-even
+        config = TrialConfig(num_trials=n, seed=3, model=GenerativeModel.CHISQ)
+        report = estimate_double(self.PAIR, config)
+        row = collision_sweep([self.PAIR], [14.5], config)[0]
+        assert (report.pf.trials, report.pd.trials) == (n // 2, n // 2 + 1)
+        assert (row.pf.trials, row.pc_double.trials) == (n // 2, n // 2 + 1)
+
     def test_errors(self):
         config = TrialConfig(num_trials=10, seed=3)
         with pytest.raises(ValueError):

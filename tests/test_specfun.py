@@ -22,12 +22,36 @@ from crn_sense.specfun import (
     marcum_q,
     reg_upper_gamma,
 )
-from oracles import finite_sum_oracle, marcum_quad_oracle, q_oracle, reg_upper_gamma_oracle
+from oracles import (
+    finite_sum_oracle,
+    marcum_quad_oracle,
+    marcum_series_oracle,
+    noncentral_chi2_sf_oracle,
+    q_oracle,
+    reg_upper_gamma_oracle,
+)
 
 # Cross-check grids for the quadrature oracle.
 MARCUM_ORDERS = (1, 2, 5)
 MARCUM_A = (0.0, 0.28, 1.0, 3.0)
 MARCUM_B = (0.0, 1.0, 3.5, 6.0)
+
+# Series grid: SNR a^2/2 from -30 to +28 dB (the series start underflows
+# past about 28.7 dB), and thresholds x = b^2/2 placed at fractions of
+# the statistic's mean u + a^2/2, from deep in the lower tail to deep in
+# the upper one. The upper fractions at order 500 or at high SNR put x
+# at 700 or more, where marcum_q leaves the running finite sum.
+SERIES_ORDERS = (1, 2, 5, 10, 50, 500)
+SERIES_SNR_DB = tuple(range(-30, 29, 4)) + (28,)
+SERIES_X_FRACTIONS = (0.05, 0.3, 0.7, 0.95, 1.0, 1.05, 1.4, 2.0, 3.0)
+
+
+def series_grid(orders):
+    for u in orders:
+        for snr_db in SERIES_SNR_DB:
+            h = 10.0 ** (snr_db / 10.0)
+            for fraction in SERIES_X_FRACTIONS:
+                yield u, math.sqrt(2.0 * h), math.sqrt(2.0 * fraction * (u + h))
 
 
 class TestGaussianQ:
@@ -190,6 +214,41 @@ class TestMarcumQ:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(ConvergenceError):
             marcum_q(5, 40.0, 40.0, Tolerance(abs_tol=1e-12, max_terms=3))
+
+    @pytest.mark.parametrize(
+        "u, a, b",
+        [
+            (5, 20.0, 20.0),  # running finite sum: x = 200
+            (5, 20.0, 40.0),  # fresh gamma calls: x = 800
+            (2.5, 20.0, 0.01),  # fresh gamma calls: non-integer order
+        ],
+    )
+    def test_budget_exhaustion_raises_on_both_paths(self, u, a, b):
+        # the Poisson series itself runs out of terms, not a gamma tail
+        with pytest.raises(ConvergenceError, match="marcum_q series stalled"):
+            marcum_q(u, a, b, Tolerance(abs_tol=1e-12, max_terms=3))
+
+    def test_series_start_underflow_names_the_regime(self):
+        a = math.sqrt(2.0 * 1000.0)  # SNR 30 dB
+        with pytest.raises(ConvergenceError) as info:
+            marcum_q(5, a, 40.0)
+        message = str(info.value)
+        assert "u=5" in message and f"a={a!r}" in message
+        assert "SNR a^2/2 = 1000" in message and "(30.00 dB)" in message
+        assert "28.7 dB" in message
+
+    def test_equals_the_one_gamma_call_per_term_series(self):
+        # the running finite sum repeats reg_upper_gamma's operations in
+        # the same order, so equality is exact, not approximate
+        points = list(series_grid(SERIES_ORDERS + (2.5,)))
+        assert any(b * b / 2.0 >= 700.0 for _, _, b in points)
+        for u, a, b in points:
+            assert marcum_q(u, a, b) == marcum_series_oracle(u, a, b), (u, a, b)
+
+    def test_series_grid_against_scipy(self):
+        for u, a, b in series_grid(SERIES_ORDERS):
+            expected = noncentral_chi2_sf_oracle(b * b, 2 * u, a * a)
+            assert abs(marcum_q(u, a, b) - expected) <= 1e-8, (u, a, b)
 
 
 class TestTolerance:
