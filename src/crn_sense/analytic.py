@@ -26,8 +26,6 @@ __all__ = [
     "pd_gaussian",
     "pf_gamma",
     "pd_marcum",
-    "pm_single",
-    "collision_single",
     "double_threshold_report",
     "threshold_for_target_pf",
     "tails",
@@ -160,20 +158,6 @@ def pd_marcum(threshold: float, snr_linear: float, u: int) -> float:
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     return marcum_q(u, math.sqrt(2.0 * snr_linear), math.sqrt(threshold))
-
-
-def pm_single(threshold: float, snr_linear: float, u: int) -> float:
-    """Missed-detection probability; by construction exactly 1 - pd_marcum."""
-    return 1.0 - pd_marcum(threshold, snr_linear, u)
-
-
-def collision_single(threshold: float, snr_linear: float, u: int) -> float:
-    """Collision probability of a single-threshold detector.
-
-    The secondary user transmits whenever the band is declared idle,
-    so a collision is exactly a missed detection.
-    """
-    return pm_single(threshold, snr_linear, u)
 
 
 def double_threshold_report(pair: ThresholdPair, snr_linear: float, u: int) -> DoubleThresholdReport:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    DoubleThresholdReport,
     bisection_resolved_rates,
     double_threshold_report,
     pd_marcum,
@@ -187,90 +188,76 @@ def _rate_columns(successes_h0: int, successes_h1: int, trials: int) -> list[flo
     return [pf.rate, pd.rate, pf.ci95_halfwidth, pd.ci95_halfwidth]
 
 
+def _report_columns(report: DoubleThresholdReport) -> list[tuple[str, float]]:
+    return [
+        ("analytic_pf_double", report.pf),
+        ("analytic_pd_double", report.pd),
+        ("analytic_pm_double", report.pm),
+        ("analytic_pc", report.pc),
+        ("analytic_pna", report.pna),
+    ]
+
+
 def cmd_tables(args: argparse.Namespace) -> int:
     start = time.monotonic()
     params = _sensing_params(args)
     snr = params.snr_linear
     u = args.u
     bisection = BisectionConfig()
-    rows: list[list] = []
+    # each row is a list of (column name, value); the header is the names
+    rows: list[list[tuple[str, object]]] = []
     if args.which in _COMPARISON_TABLES:
         pair = ThresholdPair(DOUBLE_BAND_LOW, DOUBLE_BAND_HIGH)
         fixture, baseline, printed_name, diff_name = _COMPARISON_TABLES[args.which]
-        header = (
-            "row,sensed_energy,lambda_low,lambda_high,lambda_opt,"
-            "analytic_pf_opt,analytic_pd_opt,analytic_pm_opt,"
-            "analytic_pf_double,analytic_pd_double,analytic_pm_double,"
-            "analytic_pc,analytic_pna,"
-            f"paper_printed_lambda_opt,paper_printed_{printed_name}_opt,"
-            f"paper_printed_{printed_name}_double,paper_printed_{diff_name},"
-            f"recomputed_{diff_name}"
-        )
-        double = double_threshold_report(pair, snr, u)
+        double = _report_columns(double_threshold_report(pair, snr, u))
         for index, fixture_row in enumerate(fixture, start=1):
             resolved = bisection_optimum_threshold(pair, fixture_row.sensed_energy, bisection)
             pd_opt = pd_marcum(resolved.lambda_opt, snr, u)
             rows.append(
                 [
-                    index,
-                    fixture_row.sensed_energy,
-                    pair.lambda_low,
-                    pair.lambda_high,
-                    resolved.lambda_opt,
-                    pf_gamma(resolved.lambda_opt, u),
-                    pd_opt,
-                    1.0 - pd_opt,
-                    double.pf,
-                    double.pd,
-                    double.pm,
-                    double.pc,
-                    double.pna,
-                    fixture_row.lambda_opt,
-                    fixture_row.probability,
-                    baseline,
-                    fixture_row.difference,
-                    fixture_row.probability - baseline,
+                    ("row", index),
+                    ("sensed_energy", fixture_row.sensed_energy),
+                    ("lambda_low", pair.lambda_low),
+                    ("lambda_high", pair.lambda_high),
+                    ("lambda_opt", resolved.lambda_opt),
+                    ("analytic_pf_opt", pf_gamma(resolved.lambda_opt, u)),
+                    ("analytic_pd_opt", pd_opt),
+                    ("analytic_pm_opt", 1.0 - pd_opt),
+                    *double,
+                    ("paper_printed_lambda_opt", fixture_row.lambda_opt),
+                    (f"paper_printed_{printed_name}_opt", fixture_row.probability),
+                    (f"paper_printed_{printed_name}_double", baseline),
+                    (f"paper_printed_{diff_name}", fixture_row.difference),
+                    (f"recomputed_{diff_name}", fixture_row.probability - baseline),
                 ]
             )
     else:
-        header = (
-            "row,lambda_low,lambda_high,sensed_energy,lambda_opt,"
-            "analytic_pf_double,analytic_pd_double,analytic_pm_double,"
-            "analytic_pc,analytic_pna,"
-            "analytic_pf_optimum,analytic_pd_optimum,analytic_pc_optimum,"
-            "paper_printed_lambda_opt,paper_printed_pc_double,"
-            "paper_printed_pc_optimum,paper_printed_pf,paper_printed_reduction,"
-            "recomputed_reduction"
-        )
         for index, fixture_row in enumerate(COLLISION_ROWS, start=1):
             pair = ThresholdPair(fixture_row.lambda_low, fixture_row.lambda_high)
             resolved = bisection_optimum_threshold(pair, COLLISION_SENSED_ENERGY, bisection)
-            double = double_threshold_report(pair, snr, u)
+            double = _report_columns(double_threshold_report(pair, snr, u))
             pf_res, pd_res = bisection_resolved_rates(pair, snr, u, bisection)
             rows.append(
                 [
-                    index,
-                    pair.lambda_low,
-                    pair.lambda_high,
-                    COLLISION_SENSED_ENERGY,
-                    resolved.lambda_opt,
-                    double.pf,
-                    double.pd,
-                    double.pm,
-                    double.pc,
-                    double.pna,
-                    pf_res,
-                    pd_res,
-                    1.0 - pd_res,
-                    fixture_row.lambda_opt,
-                    fixture_row.pc_double,
-                    fixture_row.pc_optimum,
-                    fixture_row.pf,
-                    fixture_row.reduction,
-                    fixture_row.pc_optimum - fixture_row.pc_double,
+                    ("row", index),
+                    ("lambda_low", pair.lambda_low),
+                    ("lambda_high", pair.lambda_high),
+                    ("sensed_energy", COLLISION_SENSED_ENERGY),
+                    ("lambda_opt", resolved.lambda_opt),
+                    *double,
+                    ("analytic_pf_optimum", pf_res),
+                    ("analytic_pd_optimum", pd_res),
+                    ("analytic_pc_optimum", 1.0 - pd_res),
+                    ("paper_printed_lambda_opt", fixture_row.lambda_opt),
+                    ("paper_printed_pc_double", fixture_row.pc_double),
+                    ("paper_printed_pc_optimum", fixture_row.pc_optimum),
+                    ("paper_printed_pf", fixture_row.pf),
+                    ("paper_printed_reduction", fixture_row.reduction),
+                    ("recomputed_reduction", fixture_row.pc_optimum - fixture_row.pc_double),
                 ]
             )
-    _write_csv(args.out, header, rows)
+    header = ",".join(name for name, _ in rows[0])
+    _write_csv(args.out, header, [[value for _, value in row] for row in rows])
     _write_manifest(args.out, "tables", _flag_parameters(args), [args.out], time.monotonic() - start)
     return 0
 

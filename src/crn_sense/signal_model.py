@@ -22,7 +22,6 @@ __all__ = [
     "Hypothesis",
     "SignalMode",
     "SensingParams",
-    "SampleBlock",
     "snr_db_to_linear",
     "snr_linear_to_db",
     "check_uint64",
@@ -30,8 +29,6 @@ __all__ = [
     "standard_normal",
     "noise_matrix",
     "bpsk_matrix",
-    "gen_noise",
-    "gen_signal_plus_noise",
 ]
 
 SAMPLES_PER_CYCLE = 8
@@ -87,18 +84,6 @@ class SensingParams:
     @property
     def signal_variance(self) -> float:
         return self.snr_linear * self.noise_variance
-
-
-@dataclass(frozen=True)
-class SampleBlock:
-    """One sensing window of received amplitudes with its ground truth."""
-
-    samples: np.ndarray
-    truth: Hypothesis
-
-    def __post_init__(self) -> None:
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
 
 
 def snr_db_to_linear(snr_db: float) -> float:
@@ -181,25 +166,3 @@ def bpsk_matrix(
     # sqrt(2) amplitude compensates the 1/2 average power of cos^2.
     return math.sqrt(2.0 * params.signal_variance) * symbols * carrier
 
-
-def gen_noise(params: SensingParams, seed: int, stream: int = 0) -> SampleBlock:
-    """One noise-only window; identical (params, seed, stream) repeat exactly."""
-    rng = block_generator(seed, stream)
-    return SampleBlock(samples=noise_matrix(params, rng, 1)[0], truth=Hypothesis.H0)
-
-
-def gen_signal_plus_noise(
-    params: SensingParams,
-    mode: SignalMode,
-    seed: int,
-    stream: int = 0,
-) -> SampleBlock:
-    """One window of BPSK signal plus noise.
-
-    Draw order is fixed (noise first, then symbol signs) so a given
-    (params, mode, seed, stream) always produces the same block.
-    """
-    rng = block_generator(seed, stream)
-    noise = noise_matrix(params, rng, 1)[0]
-    signal = bpsk_matrix(params, rng, mode, 1)[0]
-    return SampleBlock(samples=signal + noise, truth=Hypothesis.H1)

@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from crn_sense.analytic import (
+    double_threshold_report,
     pd_gaussian,
     pd_marcum,
     pf_gamma,
     pf_gaussian,
-    pm_single,
 )
 from crn_sense.cli import main
 from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
@@ -161,14 +161,14 @@ def test_criterion_3_printed_probabilities_not_reproducible():
     gaps = [
         abs(pf_gamma(18.0, 5) - PF_DOUBLE_PRINTED),
         abs(pd_marcum(18.0, SNR, 5) - PD_DOUBLE_PRINTED),
-        abs(pm_single(18.0, SNR, 5) - PM_DOUBLE_PRINTED),
+        abs(1.0 - pd_marcum(18.0, SNR, 5) - PM_DOUBLE_PRINTED),
     ]
     for row, lam in zip(DETECTION_ROWS, FULL_PRECISION_BAND):
         gaps.append(abs(pd_marcum(lam, SNR, 5) - row.probability))
     for row, lam in zip(FALSE_ALARM_ROWS, FULL_PRECISION_BAND):
         gaps.append(abs(pf_gamma(lam, 5) - row.probability))
     for row, lam in zip(MISS_ROWS, FULL_PRECISION_BAND):
-        gaps.append(abs(pm_single(lam, SNR, 5) - row.probability))
+        gaps.append(abs(1.0 - pd_marcum(lam, SNR, 5) - row.probability))
     smallest = min(gaps)
     ok = smallest > 0.005
     detail = (
@@ -311,7 +311,10 @@ def test_criterion_6_identities_and_monotonicity():
     problems = []
 
     lams = np.sort(rng.uniform(0.0, 40.0, 1200))
-    if not all(pm_single(float(lam), SNR, 5) == 1.0 - pd_marcum(float(lam), SNR, 5) for lam in lams):
+    if not all(
+        double_threshold_report(ThresholdPair(lam, lam), SNR, 5).pm == 1.0 - pd_marcum(lam, SNR, 5)
+        for lam in map(float, lams)
+    ):
         problems.append("pm complement not exact")
 
     pf_vals = [pf_gamma(float(lam), 5) for lam in lams]

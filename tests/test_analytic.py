@@ -19,13 +19,11 @@ from crn_sense.analytic import (
     RocCurve,
     RocPoint,
     bisection_resolved_rates,
-    collision_single,
     double_threshold_report,
     pd_gaussian,
     pd_marcum,
     pf_gamma,
     pf_gaussian,
-    pm_single,
     resolved_occupied_probability,
     roc_analytic,
     threshold_for_target_pf,
@@ -144,16 +142,6 @@ class TestPdMarcum:
             pd_marcum(1.0, -0.1, 5)
         with pytest.raises(ValueError):
             pd_marcum(1.0, SNR, -2)
-
-
-class TestMissAndCollision:
-    def test_pm_is_exact_complement(self):
-        for lam in (0.5, 12.0, 18.0):
-            assert pm_single(lam, SNR, 5) == 1.0 - pd_marcum(lam, SNR, 5)
-
-    def test_collision_equals_miss(self):
-        for lam in (0.5, 12.0, 18.0):
-            assert collision_single(lam, SNR, 5) == pm_single(lam, SNR, 5)
 
 
 class TestThresholdForTargetPf:

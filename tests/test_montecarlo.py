@@ -11,13 +11,21 @@ here too so the pins can never drift away from the physics.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import gammaincc
 from scipy.stats import chi2, ncx2
 
-from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
+from crn_sense.detector import (
+    BisectionConfig,
+    Decision,
+    ThresholdPair,
+    bisection_optimum_threshold,
+    double_threshold_decide,
+    resolve_fuzzy,
+)
 from crn_sense.montecarlo import (
     BLOCK_TRIALS,
     CollisionRow,
@@ -28,6 +36,8 @@ from crn_sense.montecarlo import (
     _bisect_array,
     _statistics,
     collision_sweep,
+    count_band,
+    draw_statistics,
     estimate_double,
     estimate_single,
     roc_empirical,
@@ -189,6 +199,29 @@ class TestBisectArray:
         pair = ThresholdPair(12.0, 18.0)
         resolved = _bisect_array(np.array([12.0, 18.0]), pair, BisectionConfig())
         assert resolved[0] == resolved[1] == 17.625
+
+
+@pytest.fixture(scope="module")
+def chisq_draws():
+    return draw_statistics(TrialConfig(num_trials=3000, seed=41, model=GenerativeModel.CHISQ))
+
+
+class TestCountBand:
+    @pytest.mark.parametrize("low, high", [(12.0, 18.0), (5.0, 5.0), (2.0, 19.0), (0.0, 30.0)])
+    @pytest.mark.parametrize("depth", [1, 4, 9])
+    def test_agrees_with_scalar_rules(self, chisq_draws, low, high, depth):
+        pair = ThresholdPair(low, high)
+        bisection = BisectionConfig(max_iter=depth)
+        # band edges, the midpoint and two dyadic points a bisection can land on
+        ties = np.array([low, high, (low + high) / 2.0, low + pair.width / 4.0, low + 3.0 * pair.width / 8.0])
+        for stats in (*chisq_draws, ties):
+            counts = count_band(stats, pair, bisection)
+            first = Counter(double_threshold_decide(float(e), pair) for e in stats)
+            final = Counter(resolve_fuzzy(float(e), pair, bisection) for e in stats)
+            assert counts.above == first[Decision.OCCUPIED]
+            assert counts.below == first[Decision.IDLE]
+            assert counts.inside == first[Decision.FUZZY]
+            assert counts.resolved_occupied == final[Decision.OCCUPIED]
 
 
 class TestEstimateDouble:

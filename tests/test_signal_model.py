@@ -11,14 +11,10 @@ from crn_sense.signal_model import (
     CYCLES_PER_BIT,
     SAMPLES_PER_BIT,
     SAMPLES_PER_CYCLE,
-    Hypothesis,
-    SampleBlock,
     SensingParams,
     SignalMode,
     block_generator,
     bpsk_matrix,
-    gen_noise,
-    gen_signal_plus_noise,
     noise_matrix,
     snr_db_to_linear,
     snr_linear_to_db,
@@ -67,39 +63,45 @@ class TestSensingParams:
 class TestGenerators:
     def test_gen_noise_deterministic(self):
         p = SensingParams(num_samples=4)
-        a = gen_noise(p, seed=7)
-        b = gen_noise(p, seed=7)
-        assert np.array_equal(a.samples, b.samples)
-        assert a.truth is Hypothesis.H0
-        assert a.samples.shape == (4,)
+        a = noise_matrix(p, block_generator(seed=7), 1)
+        b = noise_matrix(p, block_generator(seed=7), 1)
+        assert np.array_equal(a, b)
+        assert a.shape == (1, 4)
 
     def test_distinct_seeds_and_streams_differ(self):
         p = SensingParams(num_samples=16)
-        base = gen_noise(p, seed=1)
-        assert not np.array_equal(base.samples, gen_noise(p, seed=2).samples)
-        assert not np.array_equal(base.samples, gen_noise(p, seed=1, stream=1).samples)
+        base = noise_matrix(p, block_generator(seed=1), 1)
+        assert not np.array_equal(base, noise_matrix(p, block_generator(seed=2), 1))
+        assert not np.array_equal(base, noise_matrix(p, block_generator(seed=1, stream=1), 1))
 
     def test_noise_variance_calibration(self):
         p = SensingParams(num_samples=10**6)
-        block = gen_noise(p, seed=3)
-        assert 0.99 <= float(np.var(block.samples)) <= 1.01
+        window = noise_matrix(p, block_generator(seed=3), 1)[0]
+        assert 0.99 <= float(np.var(window)) <= 1.01
         p4 = SensingParams(num_samples=10**6, noise_variance=4.0)
-        block4 = gen_noise(p4, seed=3)
-        assert abs(float(np.var(block4.samples)) - 4.0) <= 0.04
+        window4 = noise_matrix(p4, block_generator(seed=3), 1)[0]
+        assert abs(float(np.var(window4)) - 4.0) <= 0.04
 
     def test_noise_lag1_autocorrelation_near_zero(self):
         p = SensingParams(num_samples=10**6)
-        x = gen_noise(p, seed=5).samples
+        x = noise_matrix(p, block_generator(seed=5), 1)[0]
         x = x - x.mean()
         lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(lag1) < 0.005
 
     def test_signal_plus_noise_deterministic_h1(self):
         p = SensingParams(num_samples=64)
-        a = gen_signal_plus_noise(p, SignalMode.BASEBAND_BPSK, seed=11)
-        b = gen_signal_plus_noise(p, SignalMode.BASEBAND_BPSK, seed=11)
-        assert np.array_equal(a.samples, b.samples)
-        assert a.truth is Hypothesis.H1
+
+        # one rng, noise drawn first and then the symbol signs, as the
+        # Monte Carlo engine draws an H1 window
+        def h1_window(seed):
+            rng = block_generator(seed)
+            noise = noise_matrix(p, rng, 1)
+            return noise + bpsk_matrix(p, rng, SignalMode.BASEBAND_BPSK, 1)
+
+        a = h1_window(11)
+        assert np.array_equal(a, h1_window(11))
+        assert not np.array_equal(a, noise_matrix(p, block_generator(11), 1))
 
     def test_baseband_signal_is_constant_magnitude(self):
         p = SensingParams(num_samples=512, snr_db=-14.0)
@@ -193,14 +195,8 @@ class TestSampleBlock:
     def test_length_matches_params(self):
         for m in (1, 5, 1000):
             p = SensingParams(num_samples=m)
-            assert gen_noise(p, seed=1).samples.shape == (m,)
-            assert gen_signal_plus_noise(p, SignalMode.BASEBAND_BPSK, seed=1).samples.shape == (m,)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            SampleBlock(samples=np.zeros((2, 2)), truth=Hypothesis.H0)
-        with pytest.raises(ValueError):
-            SampleBlock(samples=np.zeros(0), truth=Hypothesis.H0)
+            assert noise_matrix(p, block_generator(seed=1), 1).shape == (1, m)
+            assert bpsk_matrix(p, block_generator(seed=1), SignalMode.BASEBAND_BPSK, 1).shape == (1, m)
 
     def test_constants(self):
         assert SAMPLES_PER_CYCLE == 8
