@@ -29,7 +29,6 @@ from .detector import (
     ThresholdPair,
     bisection_optimum_threshold,
     double_threshold_decide,
-    energy_statistic,
     resolve_fuzzy,
     single_threshold_decide,
 )
@@ -53,12 +52,9 @@ from .signal_model import (
     SensingParams,
     SignalMode,
     snr_db_to_linear,
-    snr_linear_to_db,
 )
 from .specfun import (
-    DEFAULT_TOLERANCE,
     ConvergenceError,
-    Tolerance,
     gaussian_q,
     gaussian_q_inv,
     marcum_q,
@@ -73,7 +69,6 @@ __all__ = [
     "BisectionResult",
     "CollisionRow",
     "ConvergenceError",
-    "DEFAULT_TOLERANCE",
     "Decision",
     "DoubleThresholdReport",
     "EmpiricalReport",
@@ -85,7 +80,6 @@ __all__ = [
     "SensingParams",
     "SignalMode",
     "ThresholdPair",
-    "Tolerance",
     "TrialConfig",
     "bisection_optimum_threshold",
     "bisection_resolved_rates",
@@ -94,7 +88,6 @@ __all__ = [
     "double_threshold_decide",
     "double_threshold_report",
     "draw_statistics",
-    "energy_statistic",
     "estimate_double",
     "estimate_single",
     "gaussian_q",
@@ -111,7 +104,6 @@ __all__ = [
     "roc_empirical",
     "single_threshold_decide",
     "snr_db_to_linear",
-    "snr_linear_to_db",
     "tails",
     "threshold_for_target_pf",
 ]

@@ -59,8 +59,6 @@ from .specfun import ConvergenceError
 
 __all__ = ["build_parser", "main"]
 
-ROC_HEADER = "lambda,pf_analytic,pd_analytic,pf_emp,pd_emp,pf_ci,pd_ci"
-
 _MODES = {"baseband": SignalMode.BASEBAND_BPSK, "carrier": SignalMode.CARRIER_BPSK}
 
 # the closed-form family that describes each generative model's statistic
@@ -80,11 +78,12 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: str, header: str, rows: Sequence[Sequence]) -> None:
+def _write_csv(path: str, rows: Sequence[Sequence[tuple[str, object]]]) -> None:
+    """Write rows of (column name, value) pairs under the first row's names."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(name for name, _ in rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+            fh.write(",".join(_fmt(value) for _, value in row) + "\n")
 
 
 def _write_manifest(
@@ -93,7 +92,7 @@ def _write_manifest(
     parameters: dict,
     outputs: Sequence[str],
     duration: float,
-) -> str:
+) -> None:
     path = anchor_path + ".manifest.txt"
     lines = [f"command={command}", f"version={__version__}"]
     for key in sorted(parameters):
@@ -102,7 +101,6 @@ def _write_manifest(
     lines.append(f"duration_seconds={duration:.3f}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    return path
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -182,10 +180,14 @@ def _suffixed(path: str, suffix: str) -> str:
     return f"{root}_{suffix}{ext or '.csv'}"
 
 
-def _rate_columns(successes_h0: int, successes_h1: int, trials: int) -> list[float]:
+def _rate_columns(successes_h0: int, successes_h1: int, trials: int) -> list[tuple[str, float]]:
     pf = RateEstimate(successes_h0, trials)
     pd = RateEstimate(successes_h1, trials)
-    return [pf.rate, pd.rate, pf.ci95_halfwidth, pd.ci95_halfwidth]
+    return [("pf_emp", pf.rate), ("pd_emp", pd.rate), ("pf_ci", pf.ci95_halfwidth), ("pd_ci", pd.ci95_halfwidth)]
+
+
+def _estimate_columns(name: str, estimate: RateEstimate) -> list[tuple[str, float]]:
+    return [(name, estimate.rate), (f"{name}_ci", estimate.ci95_halfwidth)]
 
 
 def _report_columns(report: DoubleThresholdReport) -> list[tuple[str, float]]:
@@ -204,7 +206,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
     snr = params.snr_linear
     u = args.u
     bisection = BisectionConfig()
-    # each row is a list of (column name, value); the header is the names
     rows: list[list[tuple[str, object]]] = []
     if args.which in _COMPARISON_TABLES:
         pair = ThresholdPair(DOUBLE_BAND_LOW, DOUBLE_BAND_HIGH)
@@ -256,8 +257,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
                     ("recomputed_reduction", fixture_row.pc_optimum - fixture_row.pc_double),
                 ]
             )
-    header = ",".join(name for name, _ in rows[0])
-    _write_csv(args.out, header, [[value for _, value in row] for row in rows])
+    _write_csv(args.out, rows)
     _write_manifest(args.out, "tables", _flag_parameters(args), [args.out], time.monotonic() - start)
     return 0
 
@@ -276,18 +276,19 @@ def cmd_roc(args: argparse.Namespace) -> int:
     # level or a numeric failure costs no Monte Carlo time
     pairs = [ThresholdPair(lam, lam + band_width) for lam in sorted(grid, reverse=True)]
     idle_tail, busy_tail = tails(params, _FORMS[args.model])
-    curves: dict[str, list[list]] = {"single": [], "double": [], "optimum": []}
+    curves: dict[str, list[list[tuple[str, float]]]] = {"single": [], "double": [], "optimum": []}
     for pair in pairs:
         lam, upper = pair.lambda_low, pair.lambda_high
-        curves["single"].append([lam, idle_tail(lam), busy_tail(lam)])
-        curves["double"].append([lam, idle_tail(upper), busy_tail(upper)])
-        curves["optimum"].append(
-            [
-                lam,
+        analytic = {
+            "single": (idle_tail(lam), busy_tail(lam)),
+            "double": (idle_tail(upper), busy_tail(upper)),
+            "optimum": (
                 resolved_occupied_probability(pair, bisection, idle_tail),
                 resolved_occupied_probability(pair, bisection, busy_tail),
-            ]
-        )
+            ),
+        }
+        for suffix, (pf, pd) in analytic.items():
+            curves[suffix].append([("lambda", lam), ("pf_analytic", pf), ("pd_analytic", pd)])
     stats_h0, stats_h1 = draw_statistics(config)
     trials = config.num_trials
     for index, pair in enumerate(pairs):
@@ -302,7 +303,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
     outputs = []
     for suffix, rows in curves.items():
         path = _suffixed(args.out, suffix)
-        _write_csv(path, ROC_HEADER, rows)
+        _write_csv(path, rows)
         outputs.append(path)
     _write_manifest(args.out, "roc", _flag_parameters(args, seed=seed), outputs, time.monotonic() - start)
     return 0
@@ -328,28 +329,20 @@ def cmd_collision(args: argparse.Namespace) -> int:
         energy = args.energy
     bisection = BisectionConfig(max_iter=args.max_iter)
     table = collision_sweep(pairs, [energy], config, bisection)
-    header = (
-        "row,lambda_low,lambda_high,sensed_energy,lambda_opt,"
-        "pc_double,pc_double_ci,pc_optimum,pc_optimum_ci,pf,pf_ci"
-    )
-    rows = []
-    for index, entry in enumerate(table, start=1):
-        rows.append(
-            [
-                index,
-                entry.pair.lambda_low,
-                entry.pair.lambda_high,
-                energy,
-                entry.lambda_opt,
-                entry.pc_double.rate,
-                entry.pc_double.ci95_halfwidth,
-                entry.pc_optimum.rate,
-                entry.pc_optimum.ci95_halfwidth,
-                entry.pf.rate,
-                entry.pf.ci95_halfwidth,
-            ]
-        )
-    _write_csv(args.out, header, rows)
+    rows = [
+        [
+            ("row", index),
+            ("lambda_low", entry.pair.lambda_low),
+            ("lambda_high", entry.pair.lambda_high),
+            ("sensed_energy", energy),
+            ("lambda_opt", entry.lambda_opt),
+            *_estimate_columns("pc_double", entry.pc_double),
+            *_estimate_columns("pc_optimum", entry.pc_optimum),
+            *_estimate_columns("pf", entry.pf),
+        ]
+        for index, entry in enumerate(table, start=1)
+    ]
+    _write_csv(args.out, rows)
     pairs_text = ";".join(f"{p.lambda_low}:{p.lambda_high}" for p in pairs)
     parameters = _flag_parameters(args, seed=seed, energy=energy, pairs=pairs_text)
     del parameters["pair"]  # recorded as the parsed pairs
@@ -367,10 +360,10 @@ def cmd_bisect(args: argparse.Namespace) -> int:
     print(_fmt(result.lambda_opt))
     if args.out:
         rows = [
-            [index, mid, 1 if index == len(result.trace) else 0]
+            [("iteration", index), ("midpoint", mid), ("is_final", 1 if index == len(result.trace) else 0)]
             for index, mid in enumerate(result.trace, start=1)
         ]
-        _write_csv(args.out, "iteration,midpoint,is_final", rows)
+        _write_csv(args.out, rows)
         _write_manifest(args.out, "bisect", _flag_parameters(args), [args.out], time.monotonic() - start)
     return 0
 

@@ -21,14 +21,11 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "Decision",
     "ThresholdPair",
     "BisectionConfig",
     "BisectionResult",
-    "energy_statistic",
     "single_threshold_decide",
     "double_threshold_decide",
     "bisection_optimum_threshold",
@@ -88,18 +85,7 @@ class BisectionResult:
     """Resolved threshold plus the midpoint trace that produced it."""
 
     lambda_opt: float
-    iterations_used: int
     trace: tuple[float, ...] = field(default_factory=tuple)
-
-
-def energy_statistic(block: np.ndarray) -> float:
-    """Average per-sample energy of a window: (1/M) sum |y(n)|^2."""
-    samples = np.asarray(block, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("block must be a non-empty 1-D array")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("block contains non-finite samples")
-    return float(np.mean(np.square(samples)))
 
 
 def _check_energy(energy: float) -> None:
@@ -156,7 +142,7 @@ def bisection_optimum_threshold(
             high = mid
         else:
             low = mid
-    return BisectionResult(lambda_opt=trace[-1], iterations_used=len(trace), trace=tuple(trace))
+    return BisectionResult(lambda_opt=trace[-1], trace=tuple(trace))
 
 
 def resolve_fuzzy(

@@ -291,15 +291,12 @@ def _bisect_array(energies: np.ndarray, pair: ThresholdPair, config: BisectionCo
     return mid
 
 
-def _split_trials(num_trials: int, h1_fraction: float) -> tuple[int, int]:
-    """(n_h0, n_h1) with n_h1 = floor(num_trials * h1_fraction + 1/2).
-
-    Ties round up, so an odd total at one half gives H1 the extra trial.
-    """
-    n_h1 = math.floor(num_trials * h1_fraction + 0.5)
+def _split_trials(num_trials: int) -> tuple[int, int]:
+    """(n_h0, n_h1) with n_h1 = ceil(num_trials / 2): an odd total gives H1 the extra trial."""
+    n_h1 = (num_trials + 1) // 2
     n_h0 = num_trials - n_h1
-    if n_h0 < 1 or n_h1 < 1:
-        raise ValueError(f"num_trials={num_trials!r} too small for an H1 fraction of {h1_fraction!r}")
+    if n_h0 < 1:
+        raise ValueError(f"num_trials={num_trials!r} too small to split between H0 and H1")
     return n_h0, n_h1
 
 
@@ -307,8 +304,6 @@ def estimate_double(
     pair: ThresholdPair,
     config: TrialConfig,
     resolver: str = "report-fuzzy",
-    bisection: BisectionConfig | None = None,
-    h1_fraction: float = 0.5,
 ) -> EmpiricalReport:
     """Empirical double-threshold rates over a half-H0, half-H1 trial set.
 
@@ -321,13 +316,9 @@ def estimate_double(
     """
     if resolver not in ("report-fuzzy", "bisection-resolve"):
         raise ValueError(f"unknown resolver: {resolver!r}")
-    if not 0.0 < h1_fraction < 1.0:
-        raise ValueError(f"h1_fraction must lie in (0, 1), got {h1_fraction!r}")
-    n_h0, n_h1 = _split_trials(config.num_trials, h1_fraction)
-    if bisection is None:
-        bisection = BisectionConfig()
+    n_h0, n_h1 = _split_trials(config.num_trials)
     stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
-    resolve = bisection if resolver == "bisection-resolve" else None
+    resolve = BisectionConfig() if resolver == "bisection-resolve" else None
     h0 = count_band(stats_h0, pair, resolve)
     h1 = count_band(stats_h1, pair, resolve)
     if resolver == "report-fuzzy":
@@ -410,17 +401,18 @@ def collision_sweep(
         )
     if bisection is None:
         bisection = BisectionConfig()
-    n_h0, n_h1 = _split_trials(config.num_trials, 0.5)
+    # thresholds before the draw, so an energy outside its band costs no trials
+    resolved = [bisection_optimum_threshold(pair, energy, bisection) for pair, energy in zip(pairs, scenarios)]
+    n_h0, n_h1 = _split_trials(config.num_trials)
     stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
     rows = []
-    for pair, energy in zip(pairs, scenarios):
-        resolved = bisection_optimum_threshold(pair, energy, bisection)
+    for pair, result in zip(pairs, resolved):
         h0 = count_band(stats_h0, pair)
         h1 = count_band(stats_h1, pair, bisection)
         rows.append(
             CollisionRow(
                 pair=pair,
-                lambda_opt=resolved.lambda_opt,
+                lambda_opt=result.lambda_opt,
                 pc_double=RateEstimate(h1.below, n_h1),
                 pc_optimum=RateEstimate(n_h1 - h1.resolved_occupied, n_h1),
                 pf=RateEstimate(h0.above, n_h0),

@@ -23,7 +23,6 @@ __all__ = [
     "SignalMode",
     "SensingParams",
     "snr_db_to_linear",
-    "snr_linear_to_db",
     "check_uint64",
     "block_generator",
     "standard_normal",
@@ -91,13 +90,6 @@ def snr_db_to_linear(snr_db: float) -> float:
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     return 10.0 ** (snr_db / 10.0)
-
-
-def snr_linear_to_db(snr_linear: float) -> float:
-    """dB figure for a positive power ratio."""
-    if not (math.isfinite(snr_linear) and snr_linear > 0.0):
-        raise ValueError(f"snr_linear must be positive, got {snr_linear!r}")
-    return 10.0 * math.log10(snr_linear)
 
 
 def check_uint64(name: str, value: int) -> None:

@@ -16,11 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "ConvergenceError",
     "gaussian_q",
     "gaussian_q_inv",
@@ -31,31 +28,16 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Convergence control, read at call time so a test can shrink the
+# budget: _ABS_TOL is the stopping threshold (relative to the running
+# sum where that sum is of order one); _MAX_TERMS caps series length
+# and iteration counts before ConvergenceError is raised.
+_ABS_TOL = 1e-12
+_MAX_TERMS = 10000
+
 
 class ConvergenceError(ArithmeticError):
     """A series or iteration exhausted its term budget before converging."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence control for the iterative evaluations.
-
-    abs_tol is the stopping threshold (used relative to the running sum
-    where that sum is of order one); max_terms caps series length and
-    iteration counts before ConvergenceError is raised.
-    """
-
-    abs_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms!r}")
-
-
-DEFAULT_TOLERANCE = Tolerance()
 
 
 def gaussian_q(x: float) -> float:
@@ -69,7 +51,7 @@ def gaussian_q(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def gaussian_q_inv(p: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def gaussian_q_inv(p: float) -> float:
     """Inverse of gaussian_q on (0, 1).
 
     Newton steps with a bisection safeguard on [-40, 40]; the bracket
@@ -79,7 +61,7 @@ def gaussian_q_inv(p: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
         raise ValueError(f"gaussian_q_inv needs 0 < p < 1, got {p!r}")
     lo, hi = -40.0, 40.0
     x = 0.0
-    for _ in range(tol.max_terms):
+    for _ in range(_MAX_TERMS):
         err = gaussian_q(x) - p
         if err > 0.0:
             lo = x  # Q decreasing: Q(x) still above p, move right
@@ -97,7 +79,7 @@ def gaussian_q_inv(p: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     raise ConvergenceError(f"gaussian_q_inv did not converge for p={p!r}")
 
 
-def reg_upper_gamma(u: float, x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def reg_upper_gamma(u: float, x: float) -> float:
     """Regularized upper incomplete gamma, Gamma(u, x) / Gamma(u).
 
     Integer orders take the closed-form finite sum
@@ -113,8 +95,8 @@ def reg_upper_gamma(u: float, x: float, tol: Tolerance = DEFAULT_TOLERANCE) -> f
     if _takes_finite_sum(u, x):
         return _clip_unit(_finite_sum(int(u), x)[1])
     if x < u + 1.0:
-        return _clip_unit(1.0 - _lower_gamma_series(u, x, tol))
-    return _clip_unit(_upper_gamma_cf(u, x, tol))
+        return _clip_unit(1.0 - _lower_gamma_series(u, x))
+    return _clip_unit(_upper_gamma_cf(u, x))
 
 
 def _clip_unit(v: float) -> float:
@@ -152,27 +134,27 @@ def _finite_sum_tails(n: int, x: float) -> Iterator[float]:
         n += 1
 
 
-def _lower_gamma_series(u: float, x: float, tol: Tolerance) -> float:
+def _lower_gamma_series(u: float, x: float) -> float:
     ap = u
     term = 1.0 / u
     total = term
-    for _ in range(tol.max_terms):
+    for _ in range(_MAX_TERMS):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * tol.abs_tol:
+        if abs(term) < abs(total) * _ABS_TOL:
             return total * math.exp(-x + u * math.log(x) - math.lgamma(u))
     raise ConvergenceError(f"lower gamma series stalled at u={u!r}, x={x!r}")
 
 
-def _upper_gamma_cf(u: float, x: float, tol: Tolerance) -> float:
+def _upper_gamma_cf(u: float, x: float) -> float:
     # Modified Lentz evaluation of the standard continued fraction.
     tiny = 1e-300
     b = x + 1.0 - u
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, tol.max_terms + 1):
+    for i in range(1, _MAX_TERMS + 1):
         an = -i * (i - u)
         b += 2.0
         d = an * d + b
@@ -184,21 +166,22 @@ def _upper_gamma_cf(u: float, x: float, tol: Tolerance) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.abs_tol:
+        if abs(delta - 1.0) < _ABS_TOL:
             return h * math.exp(-x + u * math.log(x) - math.lgamma(u))
     raise ConvergenceError(f"upper gamma continued fraction stalled at u={u!r}, x={x!r}")
 
 
-def marcum_q(u: float, a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def marcum_q(u: float, a: float, b: float) -> float:
     """Generalized Marcum Q of order u >= 1, Q_u(a, b).
 
     Canonical series: Q_u(a, b) = sum_k Pois(k; a^2/2) *
     reg_upper_gamma(u + k, b^2/2), summed from k = 0. Truncation stops
-    once the remaining Poisson mass cannot move the result past the
-    tolerance (every gamma tail factor is at most one).
+    once the remaining Poisson mass cannot move the result past _ABS_TOL
+    (every gamma tail factor is at most one); a series still short of
+    that after _MAX_TERMS terms raises ConvergenceError.
 
     When reg_upper_gamma would take its finite sum for every order the
-    series can reach (integer u, b^2/2 < 700, u + max_terms <= 1e6), the
+    series can reach (integer u, b^2/2 < 700, u + _MAX_TERMS <= 1e6), the
     tails come from one running finite sum advanced a term per Poisson
     step: the same operations in the same order, so the same bits, at
     O(1) per tail instead of O(u + k). Otherwise each tail is a fresh
@@ -214,7 +197,7 @@ def marcum_q(u: float, a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -
     if b == 0.0:
         return 1.0
     if a == 0.0:
-        return reg_upper_gamma(u, 0.5 * b * b, tol)
+        return reg_upper_gamma(u, 0.5 * b * b)
     h = 0.5 * a * a
     x = 0.5 * b * b
     pois = math.exp(-h)
@@ -223,16 +206,16 @@ def marcum_q(u: float, a: float, b: float, tol: Tolerance = DEFAULT_TOLERANCE) -
             f"marcum_q series start underflows at u={u!r}, a={a!r}: SNR a^2/2 = {h:.6g} "
             f"({10.0 * math.log10(h):.2f} dB), and exp(-a^2/2) underflows to 0 past about 28.7 dB"
         )
-    if _takes_finite_sum(u + tol.max_terms, x):  # so does every lower order
+    if _takes_finite_sum(u + _MAX_TERMS, x):  # so does every lower order
         tails = _finite_sum_tails(int(u), x)
     else:
-        tails = (reg_upper_gamma(u + k, x, tol) for k in itertools.count())
+        tails = (reg_upper_gamma(u + k, x) for k in itertools.count())
     mass = pois
     total = pois * next(tails)
-    for k in range(1, tol.max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         pois *= h / k
         mass += pois
         total += pois * next(tails)
-        if 1.0 - mass <= tol.abs_tol * (1.0 + total):
+        if 1.0 - mass <= _ABS_TOL * (1.0 + total):
             return _clip_unit(total)
     raise ConvergenceError(f"marcum_q series stalled at u={u!r}, a={a!r}, b={b!r}")

@@ -91,7 +91,7 @@ def test_criterion_1_threshold_reproduction():
 
     exact_ok = resolved == expected
     trunc_ok = all(truncate2(r) == pytest.approx(p, abs=1e-9) for r, p in zip(resolved, printed))
-    iterations_ok = all(result.iterations_used == 4 for result in results)
+    iterations_ok = all(len(result.trace) == 4 for result in results)
     off_print = [
         (r, p) for r, p in zip(resolved, printed) if abs(r - p) > 0.005 + 1e-9
     ]

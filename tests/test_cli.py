@@ -9,9 +9,10 @@ Monte Carlo columns too, which are fixed by the seed. The 20 dB
 tables and the 25 dB chi-square roc pin the regime where the Marcum
 series runs to hundreds of terms; they were recorded while each term
 still called reg_upper_gamma afresh, so they hold the running-sum
-series to the bytes of the plain one. The default-SNR tables 3 and 4
-were recorded before the table rows were built from named columns, so
-they hold that rewrite to the bytes of the spelled-out headers.
+series to the bytes of the plain one. The default-SNR tables 3 and 4,
+the roc and collision goldens and the bisect trace were all recorded
+while their headers were spelled-out literals, so they hold the
+named-column rows to the bytes of those headers.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import os
 
 import pytest
 
-from crn_sense import cli
-from crn_sense.cli import ROC_HEADER, build_parser, main
+from crn_sense import cli, montecarlo
+from crn_sense.cli import build_parser, main
+from crn_sense.detector import ThresholdPair
+from crn_sense.montecarlo import TrialConfig
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -152,7 +155,7 @@ class TestRoc:
         for suffix in ("single", "double", "optimum"):
             path = str(tmp_path / f"curve_{suffix}.csv")
             content = read(path)
-            assert content.splitlines()[0] == ROC_HEADER
+            assert content.splitlines()[0] == "lambda,pf_analytic,pd_analytic,pf_emp,pd_emp,pf_ci,pd_ci"
             assert len(content.splitlines()) == 6
         manifest = read(out + ".manifest.txt")
         assert "command=roc" in manifest
@@ -299,6 +302,20 @@ class TestExitCodes:
         assert "numeric failure" in err
         assert "SNR a^2/2 = 1000 (30.00 dB)" in err and "28.7 dB" in err
         assert not os.path.exists(str(tmp_path / "r_single.csv"))
+
+    def test_collision_fails_before_drawing_trials(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trials drawn before the failure")
+
+        monkeypatch.setattr(montecarlo, "draw_statistics", no_draw)
+        out = str(tmp_path / "c.csv")
+        # the sensed energy lies outside the band, so no threshold resolves
+        argv = ["collision", "--pair", "12:18", "--energy", "30", "--trials", "20000", "--out", out]
+        assert main(argv) == 2
+        assert "outside the fuzzy band" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        with pytest.raises(ValueError, match="outside the fuzzy band"):
+            montecarlo.collision_sweep([ThresholdPair(12.0, 18.0)], [30.0], TrialConfig(num_trials=20000, seed=0))
 
 
 class TestParser:

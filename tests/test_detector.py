@@ -20,7 +20,6 @@ from crn_sense.detector import (
     ThresholdPair,
     bisection_optimum_threshold,
     double_threshold_decide,
-    energy_statistic,
     resolve_fuzzy,
     single_threshold_decide,
 )
@@ -46,22 +45,6 @@ GOLDEN_ENERGY_14_5 = [
     ((2.0, 19.0), 13.6875),
     ((10.0, 21.0), 14.8125),
 ]
-
-
-class TestEnergyStatistic:
-    def test_hand_values(self):
-        assert energy_statistic(np.array([1.0, 1.0])) == 1.0
-        assert energy_statistic(np.array([3.0])) == 9.0
-        assert energy_statistic(np.array([1.0, 2.0, 3.0])) == pytest.approx(14.0 / 3.0)
-        assert energy_statistic(np.array([-2.0, 2.0])) == 4.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            energy_statistic(np.zeros(0))
-        with pytest.raises(ValueError):
-            energy_statistic(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            energy_statistic(np.array([1.0, math.nan]))
 
 
 class TestSingleThreshold:
@@ -128,7 +111,6 @@ class TestBisection:
         for energy, expected in GOLDEN_BAND_12_18:
             result = bisection_optimum_threshold(pair, energy)
             assert result.lambda_opt == expected, energy
-            assert result.iterations_used == 4
             assert len(result.trace) == 4
 
     def test_golden_energy_14_5(self):

@@ -284,27 +284,19 @@ class TestEstimateDouble:
         assert report.pc.successes == 0
         assert report.pna.rate == 1.0
 
-    def test_h1_fraction_split(self):
-        config = TrialConfig(num_trials=10, seed=3, model=GenerativeModel.CHISQ)
-        report = estimate_double(self.PAIR, config, h1_fraction=0.3)
-        assert report.pd.trials == 3
-        assert report.pf.trials == 7
-
-    @pytest.mark.parametrize("n", [5, 7, 9, 11])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 10, 11])
     def test_odd_split_gives_h1_the_extra_trial(self, n):
-        # one rule for both: n_h1 = floor(n / 2 + 1/2), never round-half-even
+        # one rule for both: n_h1 = ceil(n / 2), never round-half-even
         config = TrialConfig(num_trials=n, seed=3, model=GenerativeModel.CHISQ)
         report = estimate_double(self.PAIR, config)
         row = collision_sweep([self.PAIR], [14.5], config)[0]
-        assert (report.pf.trials, report.pd.trials) == (n // 2, n // 2 + 1)
-        assert (row.pf.trials, row.pc_double.trials) == (n // 2, n // 2 + 1)
+        assert (report.pf.trials, report.pd.trials) == (n // 2, n - n // 2)
+        assert (row.pf.trials, row.pc_double.trials) == (n // 2, n - n // 2)
 
     def test_errors(self):
         config = TrialConfig(num_trials=10, seed=3)
         with pytest.raises(ValueError):
             estimate_double(self.PAIR, config, resolver="majority-vote")
-        with pytest.raises(ValueError):
-            estimate_double(self.PAIR, config, h1_fraction=0.0)
         with pytest.raises(ValueError):
             estimate_double(self.PAIR, TrialConfig(num_trials=1, seed=3))
 

@@ -17,7 +17,6 @@ from crn_sense.signal_model import (
     bpsk_matrix,
     noise_matrix,
     snr_db_to_linear,
-    snr_linear_to_db,
     standard_normal,
 )
 
@@ -28,17 +27,9 @@ class TestSnrConversion:
         assert snr_db_to_linear(10.0) == 10.0
         assert snr_db_to_linear(-14.0) == pytest.approx(0.039810717055349725, rel=1e-15)
 
-    def test_round_trip(self):
-        for db in (-30.0, -14.0, -3.0, 0.0, 7.5, 20.0):
-            assert snr_linear_to_db(snr_db_to_linear(db)) == pytest.approx(db, abs=1e-12)
-
     def test_errors(self):
         with pytest.raises(ValueError):
             snr_db_to_linear(math.inf)
-        with pytest.raises(ValueError):
-            snr_linear_to_db(0.0)
-        with pytest.raises(ValueError):
-            snr_linear_to_db(-1.0)
 
 
 class TestSensingParams:

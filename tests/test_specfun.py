@@ -13,10 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from crn_sense import specfun
 from crn_sense.specfun import (
-    DEFAULT_TOLERANCE,
     ConvergenceError,
-    Tolerance,
     gaussian_q,
     gaussian_q_inv,
     marcum_q,
@@ -102,9 +101,10 @@ class TestGaussianQInv:
             with pytest.raises(ValueError):
                 gaussian_q_inv(bad)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 2)
         with pytest.raises(ConvergenceError):
-            gaussian_q_inv(0.123456, Tolerance(abs_tol=1e-12, max_terms=2))
+            gaussian_q_inv(0.123456)
 
 
 class TestRegUpperGamma:
@@ -219,10 +219,11 @@ class TestMarcumQ:
             (2.5, 20.0, 0.01),  # fresh gamma calls: non-integer order
         ],
     )
-    def test_budget_exhaustion_raises_on_both_paths(self, u, a, b):
+    def test_budget_exhaustion_raises_on_both_paths(self, u, a, b, monkeypatch):
         # the Poisson series itself runs out of terms, not a gamma tail
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError, match="marcum_q series stalled"):
-            marcum_q(u, a, b, Tolerance(abs_tol=1e-12, max_terms=3))
+            marcum_q(u, a, b)
 
     def test_series_start_underflow_names_the_regime(self):
         a = math.sqrt(2.0 * 1000.0)  # SNR 30 dB
@@ -246,16 +247,3 @@ class TestMarcumQ:
             expected = noncentral_chi2_sf_oracle(b * b, 2 * u, a * a)
             assert abs(marcum_q(u, a, b) - expected) <= 1e-8, (u, a, b)
 
-
-class TestTolerance:
-    def test_defaults(self):
-        assert DEFAULT_TOLERANCE.abs_tol == 1e-12
-        assert DEFAULT_TOLERANCE.max_terms == 10000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=-1e-9)
-        with pytest.raises(ValueError):
-            Tolerance(max_terms=0)
