@@ -111,11 +111,6 @@ def _check_snr(snr_linear: float) -> None:
         raise ValueError(f"snr_linear must be finite and >= 0, got {snr_linear!r}")
 
 
-def _check_order(u: int) -> None:
-    if u < 1:
-        raise ValueError(f"u must be a positive integer, got {u!r}")
-
-
 def pf_gaussian(threshold: float, noise_variance: float, num_samples: int) -> float:
     """False-alarm probability, CLT family.
 
@@ -145,7 +140,6 @@ def pd_gaussian(threshold: float, noise_variance: float, snr_linear: float, num_
 
 def pf_gamma(threshold: float, u: int) -> float:
     """False-alarm probability, chi-square family: upper tail at threshold/2."""
-    _check_order(u)
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     return reg_upper_gamma(u, threshold / 2.0)
@@ -153,7 +147,6 @@ def pf_gamma(threshold: float, u: int) -> float:
 
 def pd_marcum(threshold: float, snr_linear: float, u: int) -> float:
     """Detection probability, noncentral chi-square family."""
-    _check_order(u)
     _check_snr(snr_linear)
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")

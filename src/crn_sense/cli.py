@@ -370,7 +370,7 @@ def cmd_bisect(args: argparse.Namespace) -> int:
 
 def _add_sensing_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-db", type=float, default=-14.0, help="signal-to-noise ratio in dB")
-    parser.add_argument("--u", type=int, default=5, help="order of the chi-square family")
+    parser.add_argument("--u", type=int, default=5, help="integer order of the chi-square family, 1 to 10^6")
     parser.add_argument("--samples", type=int, default=1000, help="window length of the sample model")
     parser.add_argument("--noise-var", type=float, default=1.0, help="per-sample noise power")
 

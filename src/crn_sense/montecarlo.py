@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -223,7 +224,8 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
     if config.parallel_chunks == 1 or num_blocks == 1:
         fill(out, config, truth, range(num_blocks))
         return out
-    workers = min(config.parallel_chunks, num_blocks)
+    # one task per worker, and at most one worker per CPU
+    workers = min(config.parallel_chunks, num_blocks, os.cpu_count() or 1)
     per_worker = -(-num_blocks // workers)
     ranges = [
         range(w * per_worker, min((w + 1) * per_worker, num_blocks))

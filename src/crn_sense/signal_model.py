@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class SensingParams:
             raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
         if not (math.isfinite(self.noise_variance) and self.noise_variance > 0.0):
             raise ValueError(f"noise_variance must be positive, got {self.noise_variance!r}")
-        if self.time_bandwidth < 1:
-            raise ValueError(f"time_bandwidth must be >= 1, got {self.time_bandwidth!r}")
+        if not (isinstance(self.time_bandwidth, numbers.Integral) and self.time_bandwidth >= 1):
+            raise ValueError(f"time_bandwidth must be an integer >= 1, got {self.time_bandwidth!r}")
 
     @property
     def snr_linear(self) -> float:

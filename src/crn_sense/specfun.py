@@ -5,10 +5,11 @@ probability stack has no numerical dependency to drift under it. The
 accuracy target throughout is absolute error well below 1e-8 over the
 argument ranges a detection problem produces.
 
-The Marcum Q series needs an upper gamma tail at each order u, u+1,
-...; for an integer u below the exp(-x) underflow these are partial
-sums of one running product, stepped at O(1) each, and otherwise each
-tail is evaluated afresh.
+The detector order u is the time-bandwidth product, an integer, so
+every upper gamma tail, the Marcum series' included, is the finite sum
+exp(-x) * sum_{k<u} x^k / k!: built forward from exp(-x) below
+x = 700, and outward from its largest term beyond, where exp(-x) nears
+underflow. The normal quantile is the standard library's.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
+from statistics import NormalDist
 
 __all__ = [
     "ConvergenceError",
@@ -26,18 +28,18 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
+_MAX_ORDER = 10**6  # keeps the forward finite sum's O(u) cost bounded
 
-# Convergence control, read at call time so a test can shrink the
-# budget: _ABS_TOL is the stopping threshold (relative to the running
-# sum where that sum is of order one); _MAX_TERMS caps series length
-# and iteration counts before ConvergenceError is raised.
+# Marcum series control, read at call time so a test can shrink it:
+# the series stops once the Poisson mass left out is within _ABS_TOL,
+# and raises ConvergenceError after _MAX_TERMS terms.
 _ABS_TOL = 1e-12
 _MAX_TERMS = 10000
 
 
 class ConvergenceError(ArithmeticError):
-    """A series or iteration exhausted its term budget before converging."""
+    """The Marcum series underflowed at its start or ran out of terms."""
 
 
 def gaussian_q(x: float) -> float:
@@ -52,61 +54,35 @@ def gaussian_q(x: float) -> float:
 
 
 def gaussian_q_inv(p: float) -> float:
-    """Inverse of gaussian_q on (0, 1).
-
-    Newton steps with a bisection safeguard on [-40, 40]; the bracket
-    covers tail probabilities far beyond double-precision relevance.
-    """
+    """Inverse of gaussian_q on (0, 1): the standard library's normal quantile, negated."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"gaussian_q_inv needs 0 < p < 1, got {p!r}")
-    lo, hi = -40.0, 40.0
-    x = 0.0
-    for _ in range(_MAX_TERMS):
-        err = gaussian_q(x) - p
-        if err > 0.0:
-            lo = x  # Q decreasing: Q(x) still above p, move right
-        elif err < 0.0:
-            hi = x
-        else:
-            return x
-        pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-        cand = x + err / pdf if pdf > 0.0 else math.nan
-        if not math.isfinite(cand) or not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        if abs(cand - x) <= 1e-13 * max(1.0, abs(x)):
-            return cand
-        x = cand
-    raise ConvergenceError(f"gaussian_q_inv did not converge for p={p!r}")
+    return -_STANDARD_NORMAL.inv_cdf(p)
+
+
+def _check_order(name: str, u: float) -> None:
+    if not (1 <= u <= _MAX_ORDER and u == math.floor(u)):
+        raise ValueError(f"{name} needs an integer order 1 <= u <= {_MAX_ORDER}, got {u!r}")
 
 
 def reg_upper_gamma(u: float, x: float) -> float:
     """Regularized upper incomplete gamma, Gamma(u, x) / Gamma(u).
 
-    Integer orders take the closed-form finite sum
-    exp(-x) * sum_{k=0}^{u-1} x^k / k!; other orders use the usual
-    lower-series / continued-fraction split at x = u + 1.
+    Integer orders 1 <= u <= 10^6 only (5.0 passes), where it is the
+    finite sum exp(-x) * sum_{k<u} x^k / k!; others raise ValueError.
     """
-    if not (math.isfinite(u) and u > 0.0):
-        raise ValueError(f"reg_upper_gamma needs u > 0, got {u!r}")
+    _check_order("reg_upper_gamma", u)
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"reg_upper_gamma needs x >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
-    if _takes_finite_sum(u, x):
+    if x < 700.0:
         return _clip_unit(_finite_sum(int(u), x)[1])
-    if x < u + 1.0:
-        return _clip_unit(1.0 - _lower_gamma_series(u, x))
-    return _clip_unit(_upper_gamma_cf(u, x))
+    return _clip_unit(_finite_sum_from_peak(int(u), x))
 
 
 def _clip_unit(v: float) -> float:
     return min(1.0, max(0.0, v))
-
-
-def _takes_finite_sum(u: float, x: float) -> bool:
-    # exp(-x) underflows near 709; beyond that the finite sum cannot be
-    # built term by term, so fall through to the continued fraction.
-    return u == math.floor(u) and u <= 1e6 and x < 700.0
 
 
 def _finite_sum(n: int, x: float) -> tuple[float, float]:
@@ -121,11 +97,45 @@ def _finite_sum(n: int, x: float) -> tuple[float, float]:
     return term, partial
 
 
+def _finite_sum_from_peak(n: int, x: float) -> float:
+    # exp(-x) * sum_{k<n} x^k / k! where exp(-x) alone nears underflow:
+    # start at the largest term, k = min(n - 1, floor(x)), taken in log
+    # space, and add the terms below it and above it, which fall away
+    # monotonically, until one is under half an ulp of the total.
+    peak = min(n - 1, math.floor(x))
+    top = math.exp(_log_poisson(peak, x))
+    if top == 0.0:  # every term is below double range
+        return 0.0
+    total = term = top
+    for k in range(peak, 0, -1):  # term k-1 = term k * k / x
+        term *= k / x
+        total += term
+        if term <= total * 2**-54:
+            break
+    term = top
+    for k in range(peak + 1, n):  # term k = term k-1 * x / k
+        term *= x / k
+        total += term
+        if term <= total * 2**-54:
+            break
+    return total
+
+
+def _log_poisson(k: int, x: float) -> float:
+    # log(x^k e^-x / k!). From k = 1000 on, Stirling's series keeps the
+    # near-cancelling k log x and log k! apart, which at k = 10^6 would
+    # otherwise leave an error of ~1e-9 in the exponent.
+    if k < 1000:
+        return k * math.log(x) - x - math.lgamma(k + 1)
+    d = x - k
+    return k * math.log1p(d / k) - d - 0.5 * math.log(2.0 * math.pi * k) - 1.0 / (12 * k) + 1.0 / (360 * k**3)
+
+
 def _finite_sum_tails(n: int, x: float) -> Iterator[float]:
-    # Yields reg_upper_gamma(n + k, x) for k = 0, 1, ...: the finite sum
-    # of order n + k is the one of order n + k - 1 plus one more term of
-    # the same running product, so each tail after the first costs one
-    # step and has the bits reg_upper_gamma gives.
+    # Yields reg_upper_gamma(n + k, x) for k = 0, 1, ... and x < 700:
+    # the finite sum of order n + k is the one of order n + k - 1 plus
+    # one more term of the same running product, so each tail after the
+    # first costs one step and has the bits reg_upper_gamma gives.
     term, partial = _finite_sum(n, x)
     while True:
         yield _clip_unit(partial)
@@ -134,45 +144,8 @@ def _finite_sum_tails(n: int, x: float) -> Iterator[float]:
         n += 1
 
 
-def _lower_gamma_series(u: float, x: float) -> float:
-    ap = u
-    term = 1.0 / u
-    total = term
-    for _ in range(_MAX_TERMS):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _ABS_TOL:
-            return total * math.exp(-x + u * math.log(x) - math.lgamma(u))
-    raise ConvergenceError(f"lower gamma series stalled at u={u!r}, x={x!r}")
-
-
-def _upper_gamma_cf(u: float, x: float) -> float:
-    # Modified Lentz evaluation of the standard continued fraction.
-    tiny = 1e-300
-    b = x + 1.0 - u
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _MAX_TERMS + 1):
-        an = -i * (i - u)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _ABS_TOL:
-            return h * math.exp(-x + u * math.log(x) - math.lgamma(u))
-    raise ConvergenceError(f"upper gamma continued fraction stalled at u={u!r}, x={x!r}")
-
-
 def marcum_q(u: float, a: float, b: float) -> float:
-    """Generalized Marcum Q of order u >= 1, Q_u(a, b).
+    """Generalized Marcum Q of integer order 1 <= u <= 10^6, Q_u(a, b).
 
     Canonical series: Q_u(a, b) = sum_k Pois(k; a^2/2) *
     reg_upper_gamma(u + k, b^2/2), summed from k = 0. Truncation stops
@@ -180,16 +153,15 @@ def marcum_q(u: float, a: float, b: float) -> float:
     (every gamma tail factor is at most one); a series still short of
     that after _MAX_TERMS terms raises ConvergenceError.
 
-    When reg_upper_gamma would take its finite sum for every order the
-    series can reach (integer u, b^2/2 < 700, u + _MAX_TERMS <= 1e6), the
-    tails come from one running finite sum advanced a term per Poisson
-    step: the same operations in the same order, so the same bits, at
-    O(1) per tail instead of O(u + k). Otherwise each tail is a fresh
-    reg_upper_gamma call. The series start exp(-a^2/2) underflows once
-    a^2/2 passes about 745 (28.7 dB), and ConvergenceError is raised.
+    Below b^2/2 = 700 the tails come from one running finite sum
+    advanced a term per Poisson step: the same operations in the same
+    order as reg_upper_gamma, so the same bits, at O(1) per tail
+    instead of O(u + k). From there each tail is summed afresh from its
+    peak, as reg_upper_gamma does. The series start exp(-a^2/2)
+    underflows once a^2/2 passes about 745 (28.7 dB), and
+    ConvergenceError is raised.
     """
-    if not (math.isfinite(u) and u >= 1.0):
-        raise ValueError(f"marcum_q needs order u >= 1, got {u!r}")
+    _check_order("marcum_q", u)
     if not (math.isfinite(a) and a >= 0.0):
         raise ValueError(f"marcum_q needs a >= 0, got {a!r}")
     if not (math.isfinite(b) and b >= 0.0):
@@ -206,10 +178,10 @@ def marcum_q(u: float, a: float, b: float) -> float:
             f"marcum_q series start underflows at u={u!r}, a={a!r}: SNR a^2/2 = {h:.6g} "
             f"({10.0 * math.log10(h):.2f} dB), and exp(-a^2/2) underflows to 0 past about 28.7 dB"
         )
-    if _takes_finite_sum(u + _MAX_TERMS, x):  # so does every lower order
+    if x < 700.0:
         tails = _finite_sum_tails(int(u), x)
     else:
-        tails = (reg_upper_gamma(u + k, x) for k in itertools.count())
+        tails = (_clip_unit(_finite_sum_from_peak(int(u) + k, x)) for k in itertools.count())
     mass = pois
     total = pois * next(tails)
     for k in range(1, _MAX_TERMS + 1):

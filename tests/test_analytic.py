@@ -109,6 +109,16 @@ class TestPfGamma:
             pf_gamma(1.0, 0)
 
 
+@pytest.mark.parametrize("u", [2.5, 0, 10**6 + 1, math.inf, math.nan])
+def test_chi_square_family_takes_only_integer_orders_1_to_10_6(u):
+    with pytest.raises(ValueError, match="integer order"):
+        pf_gamma(18.0, u)
+    with pytest.raises(ValueError, match="integer order"):
+        pd_marcum(18.0, SNR, u)
+    assert pf_gamma(18.0, 5.0) == pf_gamma(18.0, 5)
+    assert pd_marcum(18.0, SNR, 5.0) == pd_marcum(18.0, SNR, 5)
+
+
 class TestPdMarcum:
     def test_frozen(self):
         assert pd_marcum(18.0, SNR, 5) == pytest.approx(0.05740523716186763, abs=1e-15)

@@ -303,6 +303,22 @@ class TestExitCodes:
         assert "SNR a^2/2 = 1000 (30.00 dB)" in err and "28.7 dB" in err
         assert not os.path.exists(str(tmp_path / "r_single.csv"))
 
+    def test_order_above_10_6_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trials drawn before the failure")
+
+        monkeypatch.setattr(cli, "draw_statistics", no_draw)
+        table = str(tmp_path / "t.csv")
+        assert main(["tables", "--which", "2", "--u", "2000000", "--out", table]) == 2
+        err = capsys.readouterr().err
+        assert "integer order" in err and "2000000" in err
+        assert not os.path.exists(table)
+        out = str(tmp_path / "r.csv")
+        assert main(["roc", "--model", "chisq", "--u", "2000000", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "integer order" in err and "2000000" in err
+        assert not os.path.exists(str(tmp_path / "r_single.csv"))
+
     def test_collision_fails_before_drawing_trials(self, tmp_path, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
             raise AssertionError("trials drawn before the failure")

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy.special import gammaincc
 from scipy.stats import chi2, ncx2
 
+from crn_sense import montecarlo
 from crn_sense.detector import (
     BisectionConfig,
     Decision,
@@ -108,6 +110,36 @@ class TestDeterminism:
             a = _statistics(serial, truth)
             b = _statistics(threaded, truth)
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, cpus, workers):
+        # a stand-in pool records its size and runs each task inline,
+        # so no thread is started whatever parallel_chunks asks for
+        sizes, tasks = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                tasks.append(args[-1])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        base = dict(num_trials=10 * BLOCK_TRIALS + 17, seed=9, model=GenerativeModel.CHISQ)
+        pooled = _statistics(TrialConfig(**base, parallel_chunks=10000), Hypothesis.H0)
+        assert sizes == [workers] and len(tasks) == workers
+        assert sorted(block for blocks in tasks for block in blocks) == list(range(11))
+        assert np.array_equal(pooled, _statistics(TrialConfig(**base), Hypothesis.H0))
 
     def test_prefix_property(self):
         # first k trials of a longer run equal a k-trial run outright

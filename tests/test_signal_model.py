@@ -47,6 +47,10 @@ class TestSensingParams:
             SensingParams(noise_variance=-1.0)
         with pytest.raises(ValueError):
             SensingParams(time_bandwidth=0)
+        # the chi-square draw needs 2u whole dimensions, so 5.0 is refused too
+        for order in (2.5, 5.0):
+            with pytest.raises(ValueError, match="time_bandwidth must be an integer"):
+                SensingParams(time_bandwidth=order)
         with pytest.raises(ValueError):
             SensingParams(snr_db=math.nan)
 

@@ -21,6 +21,8 @@ from crn_sense.specfun import (
     marcum_q,
     reg_upper_gamma,
 )
+from scipy import special
+
 from oracles import (
     finite_sum_oracle,
     marcum_quad_oracle,
@@ -34,6 +36,17 @@ from oracles import (
 MARCUM_ORDERS = (1, 2, 5)
 MARCUM_A = (0.0, 0.28, 1.0, 3.0)
 MARCUM_B = (0.0, 1.0, 3.5, 6.0)
+
+# Gamma tails from x = 700, where exp(-x) nears underflow and the
+# finite sum is summed outward from its largest term: orders across the
+# whole accepted range, fixed x from 700 to 10^8, and x placed at
+# fractions of the order, where the peak term's exponent cancels most.
+PEAK_ORDERS = (1, 2, 5, 10, 50, 100, 500, 1000, 5000, 10**4, 10**5, 5 * 10**5, 10**6)
+PEAK_X = (700.0, 700.5, 710.0, 800.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+PEAK_X_FRACTIONS = (0.5, 0.9, 0.99, 0.999, 1.0, 1.01, 1.1, 2.0)
+
+# Orders the package refuses: not an integer, or outside 1..10^6.
+BAD_ORDERS = (2.5, 0, 10**6 + 1, math.inf, math.nan)
 
 # Series grid: SNR a^2/2 from -30 to +28 dB (the series start underflows
 # past about 28.7 dB), and thresholds x = b^2/2 placed at fractions of
@@ -101,10 +114,11 @@ class TestGaussianQInv:
             with pytest.raises(ValueError):
                 gaussian_q_inv(bad)
 
-    def test_budget_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_MAX_TERMS", 2)
-        with pytest.raises(ConvergenceError):
-            gaussian_q_inv(0.123456)
+    def test_matches_scipy_quantile(self):
+        ps = [*np.logspace(-300, -1, 300), *np.linspace(0.001, 0.999, 999), 1 - 1e-9]
+        for p in ps:
+            expected = -float(special.ndtri(p))
+            assert abs(gaussian_q_inv(p) - expected) <= 1e-14 * max(1.0, abs(expected)), p
 
 
 class TestRegUpperGamma:
@@ -123,17 +137,9 @@ class TestRegUpperGamma:
                     finite_sum_oracle(u, x), abs=1e-13
                 ), (u, x)
 
-    def test_non_integer_orders_match_scipy(self):
-        # exercises both the lower-series branch (x < u+1) and the
-        # continued-fraction branch (x >= u+1)
-        for u in (0.5, 1.7, 3.3, 7.9, 500.5):
-            for x in (0.1, 1.0, u, u + 1.5, 3 * u):
-                assert reg_upper_gamma(u, x) == pytest.approx(
-                    reg_upper_gamma_oracle(u, x), rel=1e-11, abs=1e-13
-                ), (u, x)
-
-    def test_large_integer_order_leaves_fast_path(self):
-        # x >= 700 would overflow exp(-x) scaling of the finite sum
+    def test_large_integer_orders_either_side_of_x_700(self):
+        # below x = 700 the sum is built forward from exp(-x); from
+        # there it is summed outward from its largest term
         assert reg_upper_gamma(500, 500.0) == pytest.approx(
             0.49405285382923964, rel=1e-12
         )
@@ -143,6 +149,29 @@ class TestRegUpperGamma:
         assert reg_upper_gamma(400, 800.0) == pytest.approx(
             reg_upper_gamma_oracle(400, 800.0), rel=1e-10
         )
+
+    def test_peak_summed_tails_match_scipy(self):
+        points = [
+            (u, x)
+            for u in PEAK_ORDERS
+            for x in PEAK_X + tuple(700.0 + fraction * u for fraction in PEAK_X_FRACTIONS)
+        ]
+        assert len(points) == 234
+        for u, x in points:
+            assert reg_upper_gamma(u, x) == pytest.approx(
+                reg_upper_gamma_oracle(u, x), rel=1e-9
+            ), (u, x)
+
+    def test_integral_float_order_is_accepted(self):
+        assert reg_upper_gamma(5.0, 6.1875) == reg_upper_gamma(5, 6.1875)
+        assert marcum_q(5.0, 1.0, 3.0) == marcum_q(5, 1.0, 3.0)
+
+    @pytest.mark.parametrize("u", BAD_ORDERS)
+    def test_rejects_orders_outside_the_integers_1_to_10_6(self, u):
+        with pytest.raises(ValueError, match="reg_upper_gamma needs an integer order"):
+            reg_upper_gamma(u, 1.0)
+        with pytest.raises(ValueError, match="marcum_q needs an integer order"):
+            marcum_q(u, 1.0, 1.0)
 
     def test_monotone_decreasing_in_x(self):
         for u in (1, 3, 5, 10):
@@ -215,8 +244,7 @@ class TestMarcumQ:
         "u, a, b",
         [
             (5, 20.0, 20.0),  # running finite sum: x = 200
-            (5, 20.0, 40.0),  # fresh gamma calls: x = 800
-            (2.5, 20.0, 0.01),  # fresh gamma calls: non-integer order
+            (5, 20.0, 40.0),  # tails summed from the peak: x = 800
         ],
     )
     def test_budget_exhaustion_raises_on_both_paths(self, u, a, b, monkeypatch):
@@ -235,9 +263,10 @@ class TestMarcumQ:
         assert "28.7 dB" in message
 
     def test_equals_the_one_gamma_call_per_term_series(self):
-        # the running finite sum repeats reg_upper_gamma's operations in
-        # the same order, so equality is exact, not approximate
-        points = list(series_grid(SERIES_ORDERS + (2.5,)))
+        # below x = 700 the running finite sum repeats reg_upper_gamma's
+        # operations in the same order, and from there each tail is the
+        # same peak sum, so equality is exact, not approximate
+        points = list(series_grid(SERIES_ORDERS))
         assert any(b * b / 2.0 >= 700.0 for _, _, b in points)
         for u, a, b in points:
             assert marcum_q(u, a, b) == marcum_series_oracle(u, a, b), (u, a, b)
