@@ -182,18 +182,23 @@ def tails(params, form: str) -> tuple[Callable[[float], float], Callable[[float]
     energy and scales it by the noise variance.
     """
     snr = params.snr_linear
+    noise_variance = params.noise_variance
     if form == "gaussian":
+        num_samples = params.num_samples
+
         def idle_tail(x: float) -> float:
-            return pf_gaussian(x, params.noise_variance, params.num_samples)
+            return pf_gaussian(x, noise_variance, num_samples)
 
         def busy_tail(x: float) -> float:
-            return pd_gaussian(x, params.noise_variance, snr, params.num_samples)
+            return pd_gaussian(x, noise_variance, snr, num_samples)
     elif form == "gamma-marcum":
+        order = params.time_bandwidth
+
         def idle_tail(x: float) -> float:
-            return pf_gamma(x / params.noise_variance, params.time_bandwidth)
+            return pf_gamma(x / noise_variance, order)
 
         def busy_tail(x: float) -> float:
-            return pd_marcum(x / params.noise_variance, snr, params.time_bandwidth)
+            return pd_marcum(x / noise_variance, snr, order)
     else:
         raise ValueError(f"form must be 'gaussian' or 'gamma-marcum', got {form!r}")
     return idle_tail, busy_tail
@@ -234,13 +239,16 @@ def resolved_occupied_probability(
         return total
     cells = 2 ** config.max_iter
     step = pair.width / cells
+    low = pair.lambda_low
     tail_hi = survival(pair.lambda_high)
-    for index in reversed(range(cells)):
-        lo = pair.lambda_low + index * step
-        tail_lo = survival(lo)
-        if index % 2 == 1:
-            total += max(0.0, tail_lo - tail_hi)
-        tail_hi = tail_lo
+    # from the top, cells come in (odd, even) pairs; a negative gap is
+    # roundoff and adds nothing
+    for index in range(cells - 1, 0, -2):
+        tail_lo = survival(low + index * step)
+        gap = tail_lo - tail_hi
+        if gap > 0.0:
+            total += gap
+        tail_hi = survival(low + (index - 1) * step)
     return min(1.0, total)
 
 

@@ -58,6 +58,7 @@ __all__ = [
 BLOCK_TRIALS = 1024
 
 _PURPOSE_SHIFT = 48  # block index lives in the low 48 bits of the stream id
+_MAX_BLOCK_NORMALS = 2**23  # 64 MB of doubles per block
 
 
 class GenerativeModel(enum.Enum):
@@ -218,7 +219,17 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
         count = config.num_trials
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    fill = _fill_sample_blocks if config.model is GenerativeModel.SAMPLE else _fill_chisq_blocks
+    if config.model is GenerativeModel.SAMPLE:
+        fill, name, value = _fill_sample_blocks, "num_samples", config.params.num_samples
+        normals = BLOCK_TRIALS * value
+    else:
+        fill, name, value = _fill_chisq_blocks, "time_bandwidth", config.params.time_bandwidth
+        normals = BLOCK_TRIALS * 2 * value
+    if normals > _MAX_BLOCK_NORMALS:
+        raise ValueError(
+            f"{config.model.value} model: {name}={value!r} needs {normals} normals per "
+            f"{BLOCK_TRIALS}-trial block, more than the {_MAX_BLOCK_NORMALS} allowed"
+        )
     out = np.empty(count)
     num_blocks = -(-count // BLOCK_TRIALS)
     if config.parallel_chunks == 1 or num_blocks == 1:

@@ -14,9 +14,7 @@ underflow. The normal quantile is the standard library's.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from statistics import NormalDist
 
 __all__ = [
@@ -76,24 +74,24 @@ def reg_upper_gamma(u: float, x: float) -> float:
         raise ValueError(f"reg_upper_gamma needs x >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
-    if x < 700.0:
-        return _clip_unit(_finite_sum(int(u), x)[1])
-    return _clip_unit(_finite_sum_from_peak(int(u), x))
-
-
-def _clip_unit(v: float) -> float:
-    return min(1.0, max(0.0, v))
+    # both finite sums are >= +0.0, so only the top clip can bind
+    tail = _finite_sum(int(u), x)[1] if x < 700.0 else _finite_sum_from_peak(int(u), x)
+    return tail if tail < 1.0 else 1.0
 
 
 def _finite_sum(n: int, x: float) -> tuple[float, float]:
     # (last term, partial sum) of exp(-x) * sum_{k<n} x^k / k!. The
     # running product keeps every term in range even when x^k alone
-    # would overflow (n, x up to several hundred).
+    # would overflow (n, x up to several hundred). Once a term
+    # underflows to 0.0 every later one is 0.0 and adds nothing, so
+    # stopping there returns the same bits.
     term = math.exp(-x)
     partial = term
     for k in range(1, n):
         term *= x / k
         partial += term
+        if term == 0.0:
+            break
     return term, partial
 
 
@@ -131,19 +129,6 @@ def _log_poisson(k: int, x: float) -> float:
     return k * math.log1p(d / k) - d - 0.5 * math.log(2.0 * math.pi * k) - 1.0 / (12 * k) + 1.0 / (360 * k**3)
 
 
-def _finite_sum_tails(n: int, x: float) -> Iterator[float]:
-    # Yields reg_upper_gamma(n + k, x) for k = 0, 1, ... and x < 700:
-    # the finite sum of order n + k is the one of order n + k - 1 plus
-    # one more term of the same running product, so each tail after the
-    # first costs one step and has the bits reg_upper_gamma gives.
-    term, partial = _finite_sum(n, x)
-    while True:
-        yield _clip_unit(partial)
-        term *= x / n
-        partial += term
-        n += 1
-
-
 def marcum_q(u: float, a: float, b: float) -> float:
     """Generalized Marcum Q of integer order 1 <= u <= 10^6, Q_u(a, b).
 
@@ -153,13 +138,14 @@ def marcum_q(u: float, a: float, b: float) -> float:
     (every gamma tail factor is at most one); a series still short of
     that after _MAX_TERMS terms raises ConvergenceError.
 
-    Below b^2/2 = 700 the tails come from one running finite sum
-    advanced a term per Poisson step: the same operations in the same
-    order as reg_upper_gamma, so the same bits, at O(1) per tail
+    Below b^2/2 = 700 the tails come from one running finite sum,
+    stepped inline a term per Poisson step: the same operations in the
+    same order as reg_upper_gamma, so the same bits, at O(1) per tail
     instead of O(u + k). From there each tail is summed afresh from its
-    peak, as reg_upper_gamma does. The series start exp(-a^2/2)
-    underflows once a^2/2 passes about 745 (28.7 dB), and
-    ConvergenceError is raised.
+    peak, as reg_upper_gamma does. Every tail is a sum of terms >= +0.0,
+    so of the clip to [0, 1] only the top one can bind. The series
+    start exp(-a^2/2) underflows once a^2/2 passes about 745 (28.7 dB),
+    and ConvergenceError is raised.
     """
     _check_order("marcum_q", u)
     if not (math.isfinite(a) and a >= 0.0):
@@ -178,16 +164,24 @@ def marcum_q(u: float, a: float, b: float) -> float:
             f"marcum_q series start underflows at u={u!r}, a={a!r}: SNR a^2/2 = {h:.6g} "
             f"({10.0 * math.log10(h):.2f} dB), and exp(-a^2/2) underflows to 0 past about 28.7 dB"
         )
-    if x < 700.0:
-        tails = _finite_sum_tails(int(u), x)
+    n = int(u)
+    forward = x < 700.0
+    if forward:
+        term, partial = _finite_sum(n, x)
     else:
-        tails = (_clip_unit(_finite_sum_from_peak(int(u) + k, x)) for k in itertools.count())
+        partial = _finite_sum_from_peak(n, x)
     mass = pois
-    total = pois * next(tails)
+    total = pois * (partial if partial < 1.0 else 1.0)
     for k in range(1, _MAX_TERMS + 1):
         pois *= h / k
         mass += pois
-        total += pois * next(tails)
+        if forward:  # the tail of order n + 1 adds one term to that of order n
+            term *= x / n
+            partial += term
+        else:
+            partial = _finite_sum_from_peak(n + 1, x)
+        n += 1
+        total += pois * (partial if partial < 1.0 else 1.0)
         if 1.0 - mass <= _ABS_TOL * (1.0 + total):
-            return _clip_unit(total)
+            return total if total < 1.0 else 1.0
     raise ConvergenceError(f"marcum_q series stalled at u={u!r}, a={a!r}, b={b!r}")

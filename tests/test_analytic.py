@@ -35,6 +35,7 @@ from crn_sense.detector import (
     bisection_optimum_threshold,
     single_threshold_decide,
 )
+from crn_sense.reference_tables import COLLISION_ROWS
 from crn_sense.signal_model import SensingParams
 
 SNR = 10.0 ** (-14.0 / 10.0)  # 0.039810717055349734
@@ -271,6 +272,16 @@ class TestRocCurveValidation:
         assert len(curve) == 2
 
 
+def recording(survival, args):
+    """survival, appending each argument it is called with to args."""
+
+    def recorded(x):
+        args.append(x)
+        return survival(x)
+
+    return recorded
+
+
 class TestResolvedOccupied:
     def survival_pf(self, x):
         return float(gammaincc(5, x / 2.0))
@@ -314,22 +325,63 @@ class TestResolvedOccupied:
                     assert verdicts == odd, (lo, hi, depth)
                     assert got == pytest.approx(want, abs=1e-12), (lo, hi, depth)
 
+    @staticmethod
+    def every_cell_sum(pair, config, survival):
+        """The cell sum stepping through every cell, max(0.0, gap) on the odd ones."""
+        total = survival(pair.lambda_high)
+        if pair.width == 0.0:
+            return total
+        cells = 2**config.max_iter
+        step = pair.width / cells
+        tail_hi = survival(pair.lambda_high)
+        for index in reversed(range(cells)):
+            tail_lo = survival(pair.lambda_low + index * step)
+            if index % 2 == 1:
+                total += max(0.0, tail_lo - tail_hi)
+            tail_hi = tail_lo
+        return min(1.0, total)
+
+    def test_equals_the_every_cell_sum_at_depth_11(self):
+        # same survival arguments in the same order, and a gap that is
+        # not positive adds nothing either way, so the sums are equal
+        bands = [(row.lambda_low, row.lambda_high) for row in COLLISION_ROWS]
+        bands += [(12.0, 18.0), (8.0, 20.0), (7.0, 22.0), (0.5, 4.0)]
+        config = BisectionConfig(max_iter=11)
+        for tail in (lambda x: pf_gamma(x, 5), lambda x: pd_marcum(x, SNR, 5)):
+            for lo, hi in bands:
+                got_args, want_args = [], []
+                got = resolved_occupied_probability(ThresholdPair(lo, hi), config, recording(tail, got_args))
+                want = self.every_cell_sum(ThresholdPair(lo, hi), config, recording(tail, want_args))
+                assert got == want, (lo, hi)
+                assert got_args == want_args and len(got_args) == 2**11 + 2
+
+    def test_equals_the_every_cell_sum_where_gaps_go_negative(self):
+        # a survival that rises in places gives odd cells negative gaps,
+        # which both sums must skip
+        def wavy(x):
+            return math.exp(-x / 8.0) * (1.0 + 0.5 * math.sin(3.0 * x)) / 1.5
+
+        pair, config = ThresholdPair(2.0, 18.0), BisectionConfig(max_iter=6)
+        gaps = [wavy(2.0 + k * 0.25) - wavy(2.0 + (k + 1) * 0.25) for k in range(1, 64, 2)]
+        assert min(gaps) < 0.0 < max(gaps)
+        assert resolved_occupied_probability(pair, config, wavy) == self.every_cell_sum(pair, config, wavy)
+
     def test_frozen_rates(self):
         pf, pd = bisection_resolved_rates(ThresholdPair(12.0, 18.0), SNR, 5)
-        assert pf == pytest.approx(0.16531596315960714, abs=1e-14)
-        assert pd == pytest.approx(0.16973533160491436, abs=1e-14)
+        assert pf == 0.16531596315960714
+        assert pd == 0.16973533160491436
         pf, pd = bisection_resolved_rates(ThresholdPair(8.0, 20.0), SNR, 5)
-        assert pf == pytest.approx(0.31244202992051484, abs=1e-14)
-        assert pd == pytest.approx(0.3165138035139382, abs=1e-14)
+        assert pf == 0.31244202992051484
+        assert pd == 0.3165138035139382
         pf, pd = bisection_resolved_rates(ThresholdPair(7.0, 22.0), SNR, 5)
-        assert pf == pytest.approx(0.3492081991435151, abs=1e-14)
-        assert pd == pytest.approx(0.3525949224924668, abs=1e-14)
+        assert pf == 0.3492081991435151
+        assert pd == 0.3525949224924668
 
     def test_frozen_shallow_depth(self):
         config = BisectionConfig(max_iter=2)
         pf, pd = bisection_resolved_rates(ThresholdPair(12.0, 18.0), SNR, 5, config)
-        assert pf == pytest.approx(0.15116762971932815, abs=1e-14)
-        assert pd == pytest.approx(0.15558545271552918, abs=1e-14)
+        assert pf == 0.15116762971932815
+        assert pd == 0.15558545271552918
 
     def test_bracketed_by_band_edge_survivals(self):
         pair = ThresholdPair(9.0, 21.0)

@@ -319,6 +319,23 @@ class TestExitCodes:
         assert "integer order" in err and "2000000" in err
         assert not os.path.exists(str(tmp_path / "r_single.csv"))
 
+    def test_oversized_block_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # a 1024-trial block of more than 2^23 normals is refused before
+        # any block is filled
+        def no_fill(*args, **kwargs):
+            raise AssertionError("block filled before the failure")
+
+        monkeypatch.setattr(montecarlo, "_fill_sample_blocks", no_fill)
+        monkeypatch.setattr(montecarlo, "_fill_chisq_blocks", no_fill)
+        out = str(tmp_path / "r.csv")
+        assert main(["roc", "--model", "chisq", "--u", "1000000", "--trials", "2000", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "chisq model" in err and "time_bandwidth=1000000" in err
+        assert main(["roc", "--model", "sample", "--samples", "8193", "--trials", "2000", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "sample model" in err and "num_samples=8193" in err
+        assert not os.path.exists(str(tmp_path / "r_single.csv"))
+
     def test_collision_fails_before_drawing_trials(self, tmp_path, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
             raise AssertionError("trials drawn before the failure")

@@ -148,6 +148,22 @@ class TestDeterminism:
         stats_long = _statistics(short, Hypothesis.H1, 2500)
         assert np.array_equal(stats_long[:1000], stats_short)
 
+    @pytest.mark.parametrize(
+        "model, field, largest",
+        [(GenerativeModel.SAMPLE, "num_samples", 8192), (GenerativeModel.CHISQ, "time_bandwidth", 4096)],
+    )
+    def test_block_of_more_than_2_23_normals_is_refused(self, model, field, largest, monkeypatch):
+        filled = []
+        fill = f"_fill_{model.value}_blocks"
+        monkeypatch.setattr(montecarlo, fill, lambda out, *args: filled.append(out.size))
+        config = TrialConfig(num_trials=10, seed=1, model=model, params=SensingParams(**{field: largest}))
+        _statistics(config, Hypothesis.H1)
+        assert filled == [10]
+        config = TrialConfig(num_trials=10, seed=1, model=model, params=SensingParams(**{field: largest + 1}))
+        with pytest.raises(ValueError, match=f"{model.value} model: {field}={largest + 1} needs"):
+            _statistics(config, Hypothesis.H1)
+        assert filled == [10]
+
     def test_hypotheses_use_disjoint_streams(self):
         config = TrialConfig(num_trials=500, seed=13, model=GenerativeModel.CHISQ)
         assert not np.array_equal(

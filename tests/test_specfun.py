@@ -23,6 +23,7 @@ from crn_sense.specfun import (
 )
 from scipy import special
 
+import oracles
 from oracles import (
     finite_sum_oracle,
     marcum_quad_oracle,
@@ -56,6 +57,22 @@ BAD_ORDERS = (2.5, 0, 10**6 + 1, math.inf, math.nan)
 SERIES_ORDERS = (1, 2, 5, 10, 50, 500)
 SERIES_SNR_DB = tuple(range(-30, 29, 4)) + (28,)
 SERIES_X_FRACTIONS = (0.05, 0.3, 0.7, 0.95, 1.0, 1.05, 1.4, 2.0, 3.0)
+
+# x where the raw finite sum of order 72 rounds to 1.0000000000000002,
+# and (u, SNR dB, x) points whose Poisson series reaches orders where
+# the running finite sum rounds above 1, so the top clip binds.
+ABOVE_ONE_X = 12.525317068122026
+ABOVE_ONE_POINTS = ((1, 15, ABOVE_ONE_X), (20, 10, ABOVE_ONE_X), (5, 20, 30.0), (60, 15, 45.0), (20, 20, 45.0))
+
+
+def full_finite_sum(n, x):
+    """(last term, partial sum) of exp(-x) * sum_{k<n} x^k / k!, all n - 1 steps."""
+    term = math.exp(-x)
+    partial = term
+    for k in range(1, n):
+        term *= x / k
+        partial += term
+    return term, partial
 
 
 def series_grid(orders):
@@ -161,6 +178,19 @@ class TestRegUpperGamma:
             assert reg_upper_gamma(u, x) == pytest.approx(
                 reg_upper_gamma_oracle(u, x), rel=1e-9
             ), (u, x)
+
+    @pytest.mark.parametrize("x", (1.0, 600.0, 699.5))
+    def test_finite_sum_stopping_at_a_zero_term_keeps_every_bit(self, x):
+        # the terms underflow to 0.0 long before k = 10^6; every later
+        # one is 0.0 too and adds nothing, so stopping there is exact
+        term, partial = full_finite_sum(10**6, x)
+        assert term == 0.0
+        assert specfun._finite_sum(10**6, x) == (term, partial)
+        assert reg_upper_gamma(10**6, x) == min(1.0, partial)
+
+    def test_top_clip_binds_where_the_finite_sum_rounds_above_one(self):
+        assert specfun._finite_sum(72, ABOVE_ONE_X)[1] == 1.0000000000000002
+        assert reg_upper_gamma(72, ABOVE_ONE_X) == 1.0
 
     def test_integral_float_order_is_accepted(self):
         assert reg_upper_gamma(5.0, 6.1875) == reg_upper_gamma(5, 6.1875)
@@ -270,6 +300,21 @@ class TestMarcumQ:
         assert any(b * b / 2.0 >= 700.0 for _, _, b in points)
         for u, a, b in points:
             assert marcum_q(u, a, b) == marcum_series_oracle(u, a, b), (u, a, b)
+
+    @pytest.mark.parametrize("u, snr_db, x", ABOVE_ONE_POINTS)
+    def test_equals_the_series_where_the_running_sum_rounds_above_one(self, u, snr_db, x, monkeypatch):
+        # the series oracle takes each tail from reg_upper_gamma; record
+        # whether its raw finite sum rounded above 1 and was clipped
+        above_one = []
+
+        def recording_gamma(order, y):
+            above_one.append(specfun._finite_sum(int(order), y)[1] > 1.0)
+            return reg_upper_gamma(order, y)
+
+        monkeypatch.setattr(oracles, "reg_upper_gamma", recording_gamma)
+        a, b = math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)), math.sqrt(2.0 * x)
+        assert marcum_q(u, a, b) == marcum_series_oracle(u, a, b)
+        assert any(above_one)
 
     def test_series_grid_against_scipy(self):
         for u, a, b in series_grid(SERIES_ORDERS):
