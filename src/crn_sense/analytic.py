@@ -233,10 +233,15 @@ def resolved_occupied_probability(
     An energy in cell k ends in a bracket whose last halving kept the
     upper half exactly when k is odd, and only then does it exceed the
     last midpoint, so the Occupied cells are the odd-indexed ones.
+    Cells narrower than one ulp of lambda_high are refused: the
+    detector's midpoints stop moving there.
     """
     total = survival(pair.lambda_high)
     if pair.width == 0.0:
         return total
+    if math.ldexp(pair.width, -config.max_iter) < math.ulp(pair.lambda_high):
+        band = f"{pair.lambda_low!r}..{pair.lambda_high!r}"
+        raise ValueError(f"max_iter={config.max_iter} splits band {band} into cells under an ulp")
     cells = 2 ** config.max_iter
     step = pair.width / cells
     low = pair.lambda_low

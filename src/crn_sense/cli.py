@@ -458,6 +458,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"memory failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Determinism contract: trials are generated in fixed blocks of 1024,
 each block from its own counter-based stream derived from (seed,
 hypothesis, block index). Worker threads only pick which blocks to
 fill, never how a block is generated, so counts are bit-identical
-for any parallel_chunks value, including 1.
+for any parallel_chunks value, including 1. Tiles of rows within a
+sample block, like chunks, only choose how its stream is transformed.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -32,10 +33,10 @@ from .signal_model import (
     Hypothesis,
     SensingParams,
     SignalMode,
+    _box_muller,
     block_generator,
     bpsk_matrix,
     check_uint64,
-    noise_matrix,
     standard_normal,
 )
 
@@ -58,7 +59,7 @@ __all__ = [
 BLOCK_TRIALS = 1024
 
 _PURPOSE_SHIFT = 48  # block index lives in the low 48 bits of the stream id
-_MAX_BLOCK_NORMALS = 2**23  # 64 MB of doubles per block
+_MAX_BLOCK_NORMALS = 2**23  # 64 MiB of uniforms; a tiled sample worker peaks at ~66 MiB
 
 
 class GenerativeModel(enum.Enum):
@@ -176,16 +177,27 @@ def _fill_sample_blocks(
 ) -> None:
     params = config.params
     purpose = _hypothesis_purpose(truth)
+    m = params.num_samples
+    pairs = BLOCK_TRIALS * m // 2
+    # an even row count keeps every tile on a Box-Muller pair boundary
+    tile_rows = 2 * max(1, 2**15 // m)
     for index in block_indices:
         start = index * BLOCK_TRIALS
         rows = min(BLOCK_TRIALS, out.size - start)
         rng = block_generator(config.seed, (purpose << _PURPOSE_SHIFT) | index)
-        # always generate the whole block, then keep the head: a trial's
-        # value must not depend on how many trials the run asked for
-        received = noise_matrix(params, rng, BLOCK_TRIALS)
-        if truth is Hypothesis.H1:
-            received = received + bpsk_matrix(params, rng, config.mode, BLOCK_TRIALS)
-        out[start : start + rows] = np.mean(np.square(received[:rows]), axis=1)
+        # always the whole block's uniforms: no trial may depend on the run's length
+        u1 = rng.random(pairs)
+        u2 = rng.random(pairs)
+        for r0 in range(0, rows, tile_rows):
+            r1 = min(r0 + tile_rows, rows)
+            p0, p1 = r0 * m // 2, -(-r1 * m // 2)
+            window = _box_muller(u1[p0:p1], u2[p0:p1])[: (r1 - r0) * m].reshape(r1 - r0, m)
+            window *= math.sqrt(params.noise_variance)
+            if truth is Hypothesis.H1:
+                # the signal's uniforms follow all of the noise's, row by row
+                window += bpsk_matrix(params, rng, config.mode, r1 - r0)
+            np.square(window, out=window)
+            out[start + r0 : start + r1] = np.mean(window, axis=1)
 
 
 def _fill_chisq_blocks(

@@ -4,7 +4,9 @@ The random number generator is pinned: Philox (a named, counter-based,
 64-bit algorithm) keyed directly by (seed, stream), with Gaussian
 variates produced by the Box-Muller transform. Box-Muller consumes a
 fixed number of uniforms per draw, so streams never drift between
-platforms or between sequential and parallel execution orders.
+platforms or between sequential and parallel execution orders. Draw
+order alone fixes the bits: every pair's first uniform, then every
+second one, then an H1 window's BPSK uniforms, row by row.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "check_uint64",
     "block_generator",
     "standard_normal",
-    "noise_matrix",
     "bpsk_matrix",
 ]
 
@@ -119,21 +120,17 @@ def standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:
     pairs = (count + 1) // 2
     u1 = rng.random(pairs)
     u2 = rng.random(pairs)
+    return _box_muller(u1, u2)[:count]
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The normals of the uniform pairs (u1[i], u2[i]), interleaved: z[2i], z[2i + 1]."""
     radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], no log(0)
     angle = (2.0 * np.pi) * u2
-    z = np.empty(2 * pairs)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
-    return z[:count]
-
-
-def noise_matrix(params: SensingParams, rng: np.random.Generator, num_rows: int) -> np.ndarray:
-    """num_rows independent noise windows, shape (num_rows, M)."""
-    if num_rows < 1:
-        raise ValueError(f"num_rows must be >= 1, got {num_rows!r}")
-    m = params.num_samples
-    scale = math.sqrt(params.noise_variance)
-    return scale * standard_normal(rng, num_rows * m).reshape(num_rows, m)
+    z = np.empty(2 * len(u1))
+    np.multiply(radius, np.cos(angle), out=z[0::2])
+    np.multiply(radius, np.sin(angle), out=z[1::2])
+    return z
 
 
 def bpsk_matrix(

@@ -393,3 +393,17 @@ class TestResolvedOccupied:
         pair = ThresholdPair(15.0, 15.0)
         got = resolved_occupied_probability(pair, BisectionConfig(), self.survival_pf)
         assert got == self.survival_pf(15.0)
+
+    def test_cells_narrower_than_an_ulp_are_refused(self):
+        # width 2^-40 at lambda_high ~ 1, whose ulp is 2^-52: depth 12
+        # leaves cells of one ulp, depth 13 would split an ulp in two
+        pair = ThresholdPair(1.0, 1.0 + 2.0**-40)
+        got = resolved_occupied_probability(pair, BisectionConfig(max_iter=12), self.survival_pf)
+        assert self.survival_pf(pair.lambda_high) <= got <= self.survival_pf(pair.lambda_low)
+        with pytest.raises(ValueError, match=r"max_iter=13 splits band 1\.0\.\.1\.0000000000009095"):
+            resolved_occupied_probability(pair, BisectionConfig(max_iter=13), self.survival_pf)
+        # on 12..18 the bound sits between depths 50 and 51 (2^50 cells,
+        # too many to sum here)
+        assert math.ldexp(6.0, -50) >= math.ulp(18.0) > math.ldexp(6.0, -51)
+        with pytest.raises(ValueError, match="max_iter=51 splits band 12.0..18.0"):
+            resolved_occupied_probability(ThresholdPair(12.0, 18.0), BisectionConfig(max_iter=51), self.survival_pf)

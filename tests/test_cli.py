@@ -336,6 +336,28 @@ class TestExitCodes:
         assert "sample model" in err and "num_samples=8193" in err
         assert not os.path.exists(str(tmp_path / "r_single.csv"))
 
+    def test_allocation_failure_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(cli, "draw_statistics", no_memory)
+        out = str(tmp_path / "r.csv")
+        assert main(["roc", "--trials", "1000000000000", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memory failure: Unable to allocate 7.28 TiB")
+        assert not os.path.exists(str(tmp_path / "r_single.csv"))
+
+    def test_depth_past_an_ulp_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trials drawn before the failure")
+
+        monkeypatch.setattr(cli, "draw_statistics", no_draw)
+        out = str(tmp_path / "r.csv")
+        # the top grid level comes first: the 12..18 width at 30
+        assert main(["roc", "--max-iter", "60", "--out", out]) == 2
+        assert "max_iter=60 splits band 30.0..36.0" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r_single.csv"))
+
     def test_collision_fails_before_drawing_trials(self, tmp_path, monkeypatch, capsys):
         def no_draw(*args, **kwargs):
             raise AssertionError("trials drawn before the failure")

@@ -10,9 +10,12 @@ here too so the pins can never drift away from the physics.
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +47,7 @@ from crn_sense.montecarlo import (
     estimate_single,
     roc_empirical,
 )
-from crn_sense.signal_model import Hypothesis, SensingParams, SignalMode
+from crn_sense.signal_model import Hypothesis, SensingParams, SignalMode, block_generator, bpsk_matrix
 
 SNR = 10.0 ** (-1.4)
 
@@ -169,6 +172,88 @@ class TestDeterminism:
         assert not np.array_equal(
             _statistics(config, Hypothesis.H0), _statistics(config, Hypothesis.H1)
         )
+
+
+def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int) -> np.ndarray:
+    """The sample fill as it was before tiling: every 1024-trial block
+    transformed as one 1024 x M array, the signal added over all 1024
+    rows, and then the head of the block kept."""
+    params = config.params
+    m = params.num_samples
+    purpose = 0 if truth is Hypothesis.H0 else 1
+    pairs = BLOCK_TRIALS * m // 2
+    out = np.empty(count)
+    for index in range(-(-count // BLOCK_TRIALS)):
+        start = index * BLOCK_TRIALS
+        rows = min(BLOCK_TRIALS, count - start)
+        rng = block_generator(config.seed, (purpose << montecarlo._PURPOSE_SHIFT) | index)
+        u1 = rng.random(pairs)
+        u2 = rng.random(pairs)
+        radius = np.sqrt(-2.0 * np.log1p(-u1))
+        angle = (2.0 * np.pi) * u2
+        z = np.empty(2 * pairs)
+        z[0::2] = radius * np.cos(angle)
+        z[1::2] = radius * np.sin(angle)
+        received = math.sqrt(params.noise_variance) * z.reshape(BLOCK_TRIALS, m)
+        if truth is Hypothesis.H1:
+            received = received + bpsk_matrix(params, rng, config.mode, BLOCK_TRIALS)
+        out[start : start + rows] = np.mean(np.square(received[:rows]), axis=1)
+    return out
+
+
+class TestTiledSampleFill:
+    """The sample fill transforms each block in tiles of rows; tiles,
+    like chunks, must only choose how the uniform stream is transformed.
+
+    A second chunk only changes the run when there is a second block,
+    so single-block counts run with one chunk. H0 windows hold no
+    signal, so the signal mode and SNR cannot reach them.
+    """
+
+    COUNTS = (1, 63, 1024, 1025, 2500)
+
+    def check(self, m, variance, snr_db, mode, truth, counts):
+        params = SensingParams(num_samples=m, snr_db=snr_db, noise_variance=variance)
+        config = TrialConfig(num_trials=max(counts), seed=1000 + m, params=params, mode=mode)
+        want = whole_block_statistics(config, truth, max(counts))
+        for count in counts:
+            for chunks in (1, 2) if count > BLOCK_TRIALS else (1,):
+                got = _statistics(replace(config, parallel_chunks=chunks), truth, count)
+                assert got.tobytes() == want[:count].tobytes(), (m, variance, snr_db, mode, truth, count, chunks)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 63, 64, 65])
+    def test_short_windows_keep_their_bits(self, m):
+        for variance, snr_db, mode, truth in itertools.product((1.0, 2.5), (-14.0, 3.0), SignalMode, Hypothesis):
+            self.check(m, variance, snr_db, mode, truth, self.COUNTS)
+
+    @pytest.mark.parametrize("m", [999, 1000])
+    def test_long_windows_keep_their_bits(self, m):
+        # 64-row tiles; 63 rows end on a short odd tile, 1025 on a
+        # one-row block, 2500 on a 452-row one
+        counts = (63, 1025, 2500)
+        self.check(m, 2.5, 3.0, SignalMode.BASEBAND_BPSK, Hypothesis.H0, counts)
+        self.check(m, 1.0, -14.0, SignalMode.BASEBAND_BPSK, Hypothesis.H1, counts)
+        self.check(m, 2.5, 3.0, SignalMode.CARRIER_BPSK, Hypothesis.H1, counts)
+
+    def test_largest_window_keeps_its_bits(self):
+        # one block at the block bound, 8 rows a tile
+        self.check(8192, 2.5, 3.0, SignalMode.BASEBAND_BPSK, Hypothesis.H0, (BLOCK_TRIALS,))
+        for mode in SignalMode:
+            self.check(8192, 2.5, 3.0, mode, Hypothesis.H1, (BLOCK_TRIALS,))
+
+    @pytest.mark.parametrize("mode", list(SignalMode))
+    def test_block_working_set(self, mode):
+        # the whole-block fill peaked at 28.1 MiB (baseband) and 31.6 MiB
+        # (carrier) on one 1024 x 1000 H1 block; its uniforms alone take 7.8
+        config = TrialConfig(num_trials=BLOCK_TRIALS, seed=5, mode=mode)
+        out = np.empty(BLOCK_TRIALS)
+        tracemalloc.start()
+        try:
+            montecarlo._fill_sample_blocks(out, config, Hypothesis.H1, range(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEstimateSingle:

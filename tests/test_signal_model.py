@@ -7,15 +7,16 @@ import math
 import numpy as np
 import pytest
 
+from crn_sense.montecarlo import TrialConfig, _statistics
 from crn_sense.signal_model import (
     CYCLES_PER_BIT,
     SAMPLES_PER_BIT,
     SAMPLES_PER_CYCLE,
+    Hypothesis,
     SensingParams,
     SignalMode,
     block_generator,
     bpsk_matrix,
-    noise_matrix,
     snr_db_to_linear,
     standard_normal,
 )
@@ -57,29 +58,33 @@ class TestSensingParams:
 
 class TestGenerators:
     def test_gen_noise_deterministic(self):
-        p = SensingParams(num_samples=4)
-        a = noise_matrix(p, block_generator(seed=7), 1)
-        b = noise_matrix(p, block_generator(seed=7), 1)
+        a = standard_normal(block_generator(seed=7), 4)
+        b = standard_normal(block_generator(seed=7), 4)
         assert np.array_equal(a, b)
-        assert a.shape == (1, 4)
+        assert a.shape == (4,)
+        config = TrialConfig(num_trials=3, seed=7, params=SensingParams(num_samples=4))
+        assert np.array_equal(_statistics(config, Hypothesis.H0), _statistics(config, Hypothesis.H0))
 
     def test_distinct_seeds_and_streams_differ(self):
+        base = standard_normal(block_generator(seed=1), 16)
+        assert not np.array_equal(base, standard_normal(block_generator(seed=2), 16))
+        assert not np.array_equal(base, standard_normal(block_generator(seed=1, stream=1), 16))
         p = SensingParams(num_samples=16)
-        base = noise_matrix(p, block_generator(seed=1), 1)
-        assert not np.array_equal(base, noise_matrix(p, block_generator(seed=2), 1))
-        assert not np.array_equal(base, noise_matrix(p, block_generator(seed=1, stream=1), 1))
+        stats = _statistics(TrialConfig(num_trials=4, seed=1, params=p), Hypothesis.H0)
+        assert not np.array_equal(stats, _statistics(TrialConfig(num_trials=4, seed=2, params=p), Hypothesis.H0))
 
     def test_noise_variance_calibration(self):
-        p = SensingParams(num_samples=10**6)
-        window = noise_matrix(p, block_generator(seed=3), 1)[0]
-        assert 0.99 <= float(np.var(window)) <= 1.01
-        p4 = SensingParams(num_samples=10**6, noise_variance=4.0)
-        window4 = noise_matrix(p4, block_generator(seed=3), 1)[0]
-        assert abs(float(np.var(window4)) - 4.0) <= 0.04
+        z = standard_normal(block_generator(seed=3), 10**6)
+        assert 0.99 <= float(np.var(z)) <= 1.01
+        # 1000 idle windows of 1000 samples: the mean statistic is the
+        # mean square of 10^6 noise samples, which is the noise variance
+        for variance, tolerance in ((1.0, 0.01), (4.0, 0.04)):
+            p = SensingParams(num_samples=1000, noise_variance=variance)
+            stats = _statistics(TrialConfig(num_trials=1000, seed=3, params=p), Hypothesis.H0)
+            assert abs(float(np.mean(stats)) - variance) <= tolerance
 
     def test_noise_lag1_autocorrelation_near_zero(self):
-        p = SensingParams(num_samples=10**6)
-        x = noise_matrix(p, block_generator(seed=5), 1)[0]
+        x = standard_normal(block_generator(seed=5), 10**6)
         x = x - x.mean()
         lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(lag1) < 0.005
@@ -91,12 +96,12 @@ class TestGenerators:
         # Monte Carlo engine draws an H1 window
         def h1_window(seed):
             rng = block_generator(seed)
-            noise = noise_matrix(p, rng, 1)
+            noise = standard_normal(rng, 64).reshape(1, 64)
             return noise + bpsk_matrix(p, rng, SignalMode.BASEBAND_BPSK, 1)
 
         a = h1_window(11)
         assert np.array_equal(a, h1_window(11))
-        assert not np.array_equal(a, noise_matrix(p, block_generator(11), 1))
+        assert not np.array_equal(a[0], standard_normal(block_generator(11), 64))
 
     def test_baseband_signal_is_constant_magnitude(self):
         p = SensingParams(num_samples=512, snr_db=-14.0)
@@ -190,7 +195,8 @@ class TestSampleBlock:
     def test_length_matches_params(self):
         for m in (1, 5, 1000):
             p = SensingParams(num_samples=m)
-            assert noise_matrix(p, block_generator(seed=1), 1).shape == (1, m)
+            assert standard_normal(block_generator(seed=1), m).shape == (m,)
+            assert _statistics(TrialConfig(num_trials=3, seed=1, params=p), Hypothesis.H1).shape == (3,)
             assert bpsk_matrix(p, block_generator(seed=1), SignalMode.BASEBAND_BPSK, 1).shape == (1, m)
 
     def test_constants(self):
