@@ -55,7 +55,6 @@ from .reference_tables import (
     PM_DOUBLE_PRINTED,
 )
 from .signal_model import SensingParams, SignalMode
-from .specfun import ConvergenceError
 
 __all__ = ["build_parser", "main"]
 
@@ -452,7 +451,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
+    except ArithmeticError as exc:  # ConvergenceError included
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

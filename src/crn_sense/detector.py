@@ -12,14 +12,19 @@ Three detectors share the energy statistic T = (1/M) sum |y(n)|^2:
 The bisection is deliberately a fixed-step procedure, not a root
 finder from a library: its output after max_iter halvings is part of
 the observable behaviour (tables of resolved thresholds depend on the
-exact midpoint sequence), so the loop is spelled out here.
+exact midpoint sequence), so the loop is spelled out here, once, for
+one energy or an array of them. It brackets by order (low < energy <
+mid), which no product's underflow or overflow can flip.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Decision",
@@ -111,6 +116,21 @@ def double_threshold_decide(energy: float, pair: ThresholdPair) -> Decision:
     return Decision.FUZZY
 
 
+def _midpoints(pair: ThresholdPair, energies, config: BisectionConfig) -> Iterator:
+    """The max_iter midpoints toward `energies`, one float or an ndarray of them.
+
+    low <= mid, so low - e and mid - e have opposite signs exactly when
+    low < e < mid; only then does high move down to mid.
+    """
+    low, high = pair.lambda_low, pair.lambda_high
+    for _ in range(config.max_iter):
+        mid = (low + high) / 2.0
+        lower = (low < energies) & (energies < mid)
+        high = np.where(lower, mid, high)
+        low = np.where(lower, low, mid)
+        yield mid
+
+
 def bisection_optimum_threshold(
     pair: ThresholdPair,
     energy: float,
@@ -119,12 +139,11 @@ def bisection_optimum_threshold(
     """Resolve a threshold inside [lambda_low, lambda_high] for one energy.
 
     Starting from low = lambda_low, high = lambda_high, each step takes
-    mid = (low + high) / 2 and keeps the half interval whose endpoints
-    bracket the energy: if (low - energy) and (mid - energy) have
-    opposite signs the upper end moves down to mid, otherwise the lower
-    end moves up to mid. A zero product (energy equal to an endpoint or
-    to the midpoint) takes the otherwise branch, moving low. The
-    resolved threshold is the last midpoint computed.
+    mid = (low + high) / 2 and keeps the half interval that brackets
+    the energy: if low < energy < mid the upper end moves down to mid,
+    otherwise the lower end moves up to mid, so an energy equal to low
+    or to mid moves low. The resolved threshold is the last midpoint
+    computed.
     """
     _check_energy(energy)
     if not pair.lambda_low <= energy <= pair.lambda_high:
@@ -132,17 +151,8 @@ def bisection_optimum_threshold(
             f"energy {energy!r} outside the fuzzy band "
             f"[{pair.lambda_low!r}, {pair.lambda_high!r}]"
         )
-    low = pair.lambda_low
-    high = pair.lambda_high
-    trace: list[float] = []
-    for _ in range(config.max_iter):
-        mid = (low + high) / 2.0
-        trace.append(mid)
-        if (low - energy) * (mid - energy) < 0.0:
-            high = mid
-        else:
-            low = mid
-    return BisectionResult(lambda_opt=trace[-1], trace=tuple(trace))
+    trace = tuple(float(mid) for mid in _midpoints(pair, energy, config))
+    return BisectionResult(lambda_opt=trace[-1], trace=trace)
 
 
 def resolve_fuzzy(

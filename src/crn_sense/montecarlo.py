@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import RocCurve, RocPoint
-from .detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
+from .detector import BisectionConfig, ThresholdPair, _midpoints, bisection_optimum_threshold
 from .signal_model import (
     Hypothesis,
     SensingParams,
@@ -196,8 +196,9 @@ def _fill_sample_blocks(
             if truth is Hypothesis.H1:
                 # the signal's uniforms follow all of the noise's, row by row
                 window += bpsk_matrix(params, rng, config.mode, r1 - r0)
-            np.square(window, out=window)
-            out[start + r0 : start + r1] = np.mean(window, axis=1)
+            with np.errstate(over="ignore"):  # see _fill_chisq_blocks
+                np.square(window, out=window)
+                out[start + r0 : start + r1] = np.mean(window, axis=1)
 
 
 def _fill_chisq_blocks(
@@ -218,7 +219,10 @@ def _fill_chisq_blocks(
         z = standard_normal(rng, BLOCK_TRIALS * dim).reshape(BLOCK_TRIALS, dim)[:rows]
         if truth is Hypothesis.H1:
             z[:, 0] += offset
-        out[start : start + rows] = params.noise_variance * np.sum(np.square(z), axis=1)
+        # a statistic past the largest double is above every finite
+        # threshold, so the inf it overflows to gives the right verdict
+        with np.errstate(over="ignore"):
+            out[start : start + rows] = params.noise_variance * np.sum(np.square(z), axis=1)
 
 
 def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None) -> np.ndarray:
@@ -300,22 +304,6 @@ def _band_masks(stats: np.ndarray, pair: ThresholdPair) -> tuple[np.ndarray, np.
     return occupied, idle, fuzzy
 
 
-def _bisect_array(energies: np.ndarray, pair: ThresholdPair, config: BisectionConfig) -> np.ndarray:
-    """Resolved thresholds for many in-band energies at once.
-
-    Elementwise identical to bisection_optimum_threshold: same branch
-    rule, same last-midpoint result.
-    """
-    low = np.full(energies.shape, pair.lambda_low)
-    high = np.full(energies.shape, pair.lambda_high)
-    for _ in range(config.max_iter):
-        mid = (low + high) / 2.0
-        shrink_high = (low - energies) * (mid - energies) < 0.0
-        high = np.where(shrink_high, mid, high)
-        low = np.where(shrink_high, low, mid)
-    return mid
-
-
 def _split_trials(num_trials: int) -> tuple[int, int]:
     """(n_h0, n_h1) with n_h1 = ceil(num_trials / 2): an odd total gives H1 the extra trial."""
     n_h1 = (num_trials + 1) // 2
@@ -377,7 +365,8 @@ def _resolve_occupied(
     final = occupied.copy()
     if fuzzy.any():
         fuzzy_stats = stats[fuzzy]
-        resolved = _bisect_array(fuzzy_stats, pair, bisection)
+        for resolved in _midpoints(pair, fuzzy_stats, bisection):
+            pass  # only the last midpoint decides
         final[fuzzy] = fuzzy_stats > resolved
     return final
 

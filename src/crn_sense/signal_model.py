@@ -37,6 +37,7 @@ CYCLES_PER_BIT = 8
 SAMPLES_PER_BIT = SAMPLES_PER_CYCLE * CYCLES_PER_BIT
 
 _MAX_UINT64 = 2**64
+_MAX_SNR_DB = 3082.547155599167  # the largest dB whose 10^(dB / 10) is a finite double
 
 
 class Hypothesis(enum.Enum):
@@ -71,8 +72,7 @@ class SensingParams:
     def __post_init__(self) -> None:
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples!r}")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
+        snr_db_to_linear(self.snr_db)  # rejects what has no finite power ratio
         if not (math.isfinite(self.noise_variance) and self.noise_variance > 0.0):
             raise ValueError(f"noise_variance must be positive, got {self.noise_variance!r}")
         if not (isinstance(self.time_bandwidth, numbers.Integral) and self.time_bandwidth >= 1):
@@ -88,9 +88,9 @@ class SensingParams:
 
 
 def snr_db_to_linear(snr_db: float) -> float:
-    """Power ratio for a dB figure: 10^(snr_db / 10)."""
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
+    """Power ratio for a dB figure: 10^(snr_db / 10), finite up to _MAX_SNR_DB."""
+    if not (math.isfinite(snr_db) and snr_db <= _MAX_SNR_DB):
+        raise ValueError(f"snr_db must be finite and at most {_MAX_SNR_DB!r} dB, got {snr_db!r}")
     return 10.0 ** (snr_db / 10.0)
 
 

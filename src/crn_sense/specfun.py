@@ -15,6 +15,7 @@ underflow. The normal quantile is the standard library's.
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist
 
 __all__ = [
@@ -144,8 +145,8 @@ def marcum_q(u: float, a: float, b: float) -> float:
     instead of O(u + k). From there each tail is summed afresh from its
     peak, as reg_upper_gamma does. Every tail is a sum of terms >= +0.0,
     so of the clip to [0, 1] only the top one can bind. The series
-    start exp(-a^2/2) underflows once a^2/2 passes about 745 (28.7 dB),
-    and ConvergenceError is raised.
+    start exp(-a^2/2) is subnormal, short of bits, once a^2/2 passes
+    708.4 (28.50 dB), and ConvergenceError is raised there.
     """
     _check_order("marcum_q", u)
     if not (math.isfinite(a) and a >= 0.0):
@@ -159,10 +160,10 @@ def marcum_q(u: float, a: float, b: float) -> float:
     h = 0.5 * a * a
     x = 0.5 * b * b
     pois = math.exp(-h)
-    if pois == 0.0:
+    if pois < sys.float_info.min:
         raise ConvergenceError(
             f"marcum_q series start underflows at u={u!r}, a={a!r}: SNR a^2/2 = {h:.6g} "
-            f"({10.0 * math.log10(h):.2f} dB), and exp(-a^2/2) underflows to 0 past about 28.7 dB"
+            f"({10.0 * math.log10(h):.2f} dB), and exp(-a^2/2) is subnormal past 708.4 (28.50 dB)"
         )
     n = int(u)
     forward = x < 700.0

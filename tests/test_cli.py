@@ -119,6 +119,13 @@ class TestBisect:
         assert main(["bisect", "--energy", "25"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_tiny_band_brackets_the_energy(self, capsys):
+        # 0.3125 of the band, as on 0..1; a product sign test underflowed
+        # here and walked up to 9.375e-301
+        argv = ["bisect", "--lambda-low", "0", "--lambda-high", "1e-300", "--energy", "3e-301"]
+        assert main(argv) == 0
+        assert float(capsys.readouterr().out.splitlines()[-1]) == pytest.approx(3.125e-301, rel=1e-15, abs=0.0)
+
     def test_sensing_flags_are_not_accepted(self, capsys):
         # the trace depends on the band, the energy and the depth only
         for flag, value in (("--snr-db", "99"), ("--u", "3"), ("--samples", "7"), ("--noise-var", "5")):
@@ -222,6 +229,14 @@ class TestCollision:
         rows = rows_of(out)
         assert [float(r["lambda_opt"]) for r in rows] == [14.625, 14.75]
 
+    def test_huge_band_raises_no_warning(self, tmp_path, capsys):
+        # pytest turns warnings into errors; a product sign test overflowed here
+        out = str(tmp_path / "c.csv")
+        assert main(["collision", "--pair", "0:1e308", "--energy", "5", "--trials", "10", "--out", out]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert float(next(csv.DictReader(fh))["lambda_opt"]) == 1e308 / 16
+        capsys.readouterr()
+
     def test_usage_errors(self, tmp_path, capsys):
         out = str(tmp_path / "coll.csv")
         assert main(["collision", "--out", out]) == 2
@@ -300,7 +315,7 @@ class TestExitCodes:
         assert main(["roc", "--snr-db", "30", "--trials", "20000", "--out", out]) == 1
         err = capsys.readouterr().err
         assert "numeric failure" in err
-        assert "SNR a^2/2 = 1000 (30.00 dB)" in err and "28.7 dB" in err
+        assert "SNR a^2/2 = 1000 (30.00 dB)" in err and "28.50 dB" in err
         assert not os.path.exists(str(tmp_path / "r_single.csv"))
 
     def test_order_above_10_6_is_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -371,6 +386,31 @@ class TestExitCodes:
         assert not os.path.exists(out)
         with pytest.raises(ValueError, match="outside the fuzzy band"):
             montecarlo.collision_sweep([ThresholdPair(12.0, 18.0)], [30.0], TrialConfig(num_trials=20000, seed=0))
+
+    def test_snr_past_a_finite_power_ratio_is_usage_error(self, tmp_path, capsys):
+        table = str(tmp_path / "t.csv")
+        assert main(["tables", "--which", "2", "--snr-db", "3090", "--out", table]) == 2
+        assert "at most 3082.547155599167 dB, got 3090.0" in capsys.readouterr().err
+        assert not os.path.exists(table)
+
+    def test_subnormal_marcum_start_is_runtime_error(self, tmp_path, capsys):
+        # at 28.72 dB the series started from a subnormal exp(-a^2/2) and
+        # wrote pd_analytic 0.265 at 1520, where ncx2.sf gives 0.391
+        out = str(tmp_path / "r.csv")
+        argv = ["roc", "--model", "chisq", "--snr-db", "28.72", "--grid", "1440:1520:3",
+                "--lambda-low", "0", "--lambda-high", "1", "--trials", "10", "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "(28.72 dB)" in err and "28.50 dB" in err
+        assert not os.path.exists(str(tmp_path / "r_single.csv"))
+
+    def test_any_arithmetic_error_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "pd_marcum", overflow)
+        assert main(["tables", "--which", "2", "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == "numeric failure: math range error\n"
 
 
 class TestParser:

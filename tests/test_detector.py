@@ -165,6 +165,23 @@ class TestBisection:
         result = bisection_optimum_threshold(ThresholdPair(0.0, 1.0), 0.5)
         assert isinstance(result, BisectionResult)
         assert result.lambda_opt == result.trace[-1]
+        # Python floats, not numpy scalars, whose repr differs
+        assert type(result.lambda_opt) is float
+        assert all(type(mid) is float for mid in result.trace)
+
+    def test_trace_scales_exactly_by_a_power_of_two(self):
+        # halving and order both commute with scaling by 2^-990, so the
+        # trace on (0, 2^-990) is the trace on (0, 1), scaled; the sign of
+        # (low - e) * (mid - e) underflowed there and turned the wrong way
+        rng = np.random.default_rng(109)
+        energies = [0.0, 1.0, 0.5, 0.25, 0.75, *rng.uniform(0.0, 1.0, 995)]
+        unit, tiny = ThresholdPair(0.0, 1.0), ThresholdPair(0.0, 2.0**-990)
+        for depth in range(1, 13):
+            config = BisectionConfig(max_iter=depth)
+            for energy in energies:
+                want = bisection_optimum_threshold(unit, float(energy), config).trace
+                got = bisection_optimum_threshold(tiny, math.ldexp(energy, -990), config).trace
+                assert got == tuple(math.ldexp(mid, -990) for mid in want), (depth, energy)
 
 
 class TestResolveFuzzy:

@@ -38,7 +38,6 @@ from crn_sense.montecarlo import (
     GenerativeModel,
     RateEstimate,
     TrialConfig,
-    _bisect_array,
     _statistics,
     collision_sweep,
     count_band,
@@ -312,26 +311,56 @@ class TestEstimateSingle:
         assert abs(h0.rate - truth) < three_sigma(20000, truth)
 
 
+def order_rule_threshold(pair, energy, max_iter):
+    """The resolved threshold by a plain loop of the order rule, for one energy."""
+    low, high = pair.lambda_low, pair.lambda_high
+    for _ in range(max_iter):
+        mid = (low + high) / 2.0
+        if low < energy < mid:
+            high = mid
+        else:
+            low = mid
+    return mid
+
+
+def resolved_verdicts(energies, pair, config):
+    """The array path's Occupied verdict for each in-band energy."""
+    inside = np.ones(energies.shape, dtype=bool)
+    return montecarlo._resolve_occupied(energies, ~inside, inside, pair, config)
+
+
 class TestBisectArray:
     def test_matches_scalar_loop(self):
         pair = ThresholdPair(12.0, 18.0)
         rng = np.random.default_rng(17)
-        energies = rng.uniform(12.0, 18.0, size=400)
-        for config in (
-            BisectionConfig(),
-            BisectionConfig(max_iter=7),
-            BisectionConfig(max_iter=10),
-            BisectionConfig(max_iter=3),
-        ):
-            resolved = _bisect_array(energies, pair, config)
-            for energy, got in zip(energies, resolved):
-                want = bisection_optimum_threshold(pair, float(energy), config).lambda_opt
-                assert got == want, (config, energy)
+        energies = np.concatenate([[12.0, 18.0, 15.0, 13.5, 16.5], rng.uniform(12.0, 18.0, size=400)])
+        for max_iter in (4, 7, 10, 3, 30):
+            config = BisectionConfig(max_iter=max_iter)
+            verdicts = resolved_verdicts(energies, pair, config)
+            for energy, got in zip(energies, verdicts):
+                want = order_rule_threshold(pair, float(energy), max_iter)
+                assert got == (energy > want), (max_iter, energy)
+                assert bisection_optimum_threshold(pair, float(energy), config).lambda_opt == want
 
     def test_band_edges(self):
+        # both edges resolve to 17.625; only the upper one lies above it
         pair = ThresholdPair(12.0, 18.0)
-        resolved = _bisect_array(np.array([12.0, 18.0]), pair, BisectionConfig())
-        assert resolved[0] == resolved[1] == 17.625
+        verdicts = resolved_verdicts(np.array([12.0, 18.0]), pair, BisectionConfig())
+        assert verdicts.tolist() == [False, True]
+        assert order_rule_threshold(pair, 12.0, 4) == order_rule_threshold(pair, 18.0, 4) == 17.625
+
+    def test_verdicts_scale_exactly_by_a_power_of_two(self):
+        # as the scalar trace does; at depth 4 the product's sign test
+        # resolved 6.2% of (0, 1e-300) Occupied, against half of (0, 1)
+        rng = np.random.default_rng(19)
+        energies = np.concatenate([[0.0, 1.0, 0.5, 0.25, 0.75], rng.uniform(0.0, 1.0, 995)])
+        unit, tiny = ThresholdPair(0.0, 1.0), ThresholdPair(0.0, 2.0**-990)
+        for depth in range(1, 13):
+            config = BisectionConfig(max_iter=depth)
+            want = resolved_verdicts(energies, unit, config)
+            got = resolved_verdicts(np.ldexp(energies, -990), tiny, config)
+            assert np.array_equal(got, want), depth
+            assert count_band(np.ldexp(energies, -990), tiny, config) == count_band(energies, unit, config)
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,14 @@ class TestSnrConversion:
         with pytest.raises(ValueError):
             snr_db_to_linear(math.inf)
 
+    def test_largest_finite_power_ratio(self):
+        # 10^(dB / 10) overflows past it, which used to end in OverflowError
+        largest = 3082.547155599167
+        assert snr_db_to_linear(largest) == pytest.approx(1.7976931348620926e308, rel=1e-15)
+        for snr_db in (math.nextafter(largest, math.inf), 3090.0, 1e308):
+            with pytest.raises(ValueError, match="at most 3082.547155599167 dB"):
+                snr_db_to_linear(snr_db)
+
 
 class TestSensingParams:
     def test_derived_quantities(self):
@@ -54,6 +62,8 @@ class TestSensingParams:
                 SensingParams(time_bandwidth=order)
         with pytest.raises(ValueError):
             SensingParams(snr_db=math.nan)
+        with pytest.raises(ValueError, match="at most 3082.547155599167 dB"):
+            SensingParams(snr_db=3090.0)
 
 
 class TestGenerators:

@@ -49,8 +49,8 @@ PEAK_X_FRACTIONS = (0.5, 0.9, 0.99, 0.999, 1.0, 1.01, 1.1, 2.0)
 # Orders the package refuses: not an integer, or outside 1..10^6.
 BAD_ORDERS = (2.5, 0, 10**6 + 1, math.inf, math.nan)
 
-# Series grid: SNR a^2/2 from -30 to +28 dB (the series start underflows
-# past about 28.7 dB), and thresholds x = b^2/2 placed at fractions of
+# Series grid: SNR a^2/2 from -30 to +28 dB (the series start is
+# subnormal, and refused, past 708.4 or 28.50 dB), and thresholds x = b^2/2 placed at fractions of
 # the statistic's mean u + a^2/2, from deep in the lower tail to deep in
 # the upper one. The upper fractions at order 500 or at high SNR put x
 # at 700 or more, where marcum_q leaves the running finite sum.
@@ -290,7 +290,24 @@ class TestMarcumQ:
         message = str(info.value)
         assert "u=5" in message and f"a={a!r}" in message
         assert "SNR a^2/2 = 1000" in message and "(30.00 dB)" in message
-        assert "28.7 dB" in message
+        assert "28.50 dB" in message
+
+    def test_subnormal_series_start_raises_from_28_50_db(self):
+        # exp(-a^2/2) leaves the normal doubles at a^2/2 = 708.4; from
+        # there to its underflow at 745 the series used to start from a
+        # few bits and return values off by up to 1e-1, or stall
+        assert math.exp(-708.0) >= 2.2250738585072014e-308 > math.exp(-710.0)
+        for u in (1, 5, 50, 500):
+            for h in range(708, 745, 2):
+                mean = 2.0 * (u + h)
+                for fraction in (0.5, 0.75, 1.0, 1.5, 2.0):
+                    a, b = math.sqrt(2.0 * h), math.sqrt(fraction * mean)
+                    if h == 708:
+                        expected = noncentral_chi2_sf_oracle(b * b, 2 * u, a * a)
+                        assert abs(marcum_q(u, a, b) - expected) <= 1e-10, (u, fraction)
+                    else:
+                        with pytest.raises(ConvergenceError, match=r"28\.50 dB"):
+                            marcum_q(u, a, b)
 
     def test_equals_the_one_gamma_call_per_term_series(self):
         # below x = 700 the running finite sum repeats reg_upper_gamma's
