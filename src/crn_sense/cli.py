@@ -274,6 +274,13 @@ def cmd_roc(args: argparse.Namespace) -> int:
     # pairs and closed forms come before the draw, so that an invalid
     # level or a numeric failure costs no Monte Carlo time
     pairs = [ThresholdPair(lam, lam + band_width) for lam in sorted(grid, reverse=True)]
+    # the closed forms read each level in units of the noise variance
+    top = pairs[0].lambda_high
+    if not math.isfinite(top / params.noise_variance):
+        raise ValueError(
+            f"--noise-var {params.noise_variance!r} is too small for level {top!r}: "
+            "their ratio is no finite double"
+        )
     idle_tail, busy_tail = tails(params, _FORMS[args.model])
     curves: dict[str, list[list[tuple[str, float]]]] = {"single": [], "double": [], "optimum": []}
     for pair in pairs:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -36,6 +37,13 @@ __all__ = [
     "bisection_optimum_threshold",
     "resolve_fuzzy",
 ]
+
+
+# Past this depth no midpoint in [0, DBL_MAX] can move: the band's
+# width halves once per step, from 2^1024 down to the 2^-1074 spacing
+# of the subnormals, and one step more settles the last tie.
+_MAX_DEPTH = 1024 + 1074 + 1
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 class Decision(enum.Enum):
@@ -81,8 +89,8 @@ class BisectionConfig:
     max_iter: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not 1 <= self.max_iter <= _MAX_DEPTH:
+            raise ValueError(f"max_iter must lie in [1, {_MAX_DEPTH}], got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +131,24 @@ def _midpoints(pair: ThresholdPair, energies, config: BisectionConfig) -> Iterat
     low < e < mid; only then does high move down to mid.
     """
     low, high = pair.lambda_low, pair.lambda_high
+    huge = high > _HALF_MAX  # else no low + high can overflow
     for _ in range(config.max_iter):
-        mid = (low + high) / 2.0
+        mid = _halfway(low, high) if huge else (low + high) / 2.0
         lower = (low < energies) & (energies < mid)
         high = np.where(lower, mid, high)
         low = np.where(lower, low, mid)
         yield mid
+
+
+def _halfway(low, high):
+    """(low + high) / 2, halving each end first where the sum overflows.
+
+    Halving is exact at that magnitude, so the midpoint is still
+    correctly rounded; every other midpoint keeps the sum's bits.
+    """
+    with np.errstate(over="ignore"):
+        total = np.add(low, high)
+    return np.where(np.isinf(total), low / 2.0 + high / 2.0, total / 2.0)
 
 
 def bisection_optimum_threshold(

@@ -5,7 +5,10 @@ each block from its own counter-based stream derived from (seed,
 hypothesis, block index). Worker threads only pick which blocks to
 fill, never how a block is generated, so counts are bit-identical
 for any parallel_chunks value, including 1. Tiles of rows within a
-sample block, like chunks, only choose how its stream is transformed.
+sample block, like chunks, only choose how its stream is transformed:
+each tile reads its uniforms through three cursors that start at
+fixed counter offsets of the block's stream, so a tile sees exactly
+the draws a whole-block read would give its rows.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -34,6 +37,7 @@ from .signal_model import (
     SensingParams,
     SignalMode,
     _box_muller,
+    _generator_at,
     block_generator,
     bpsk_matrix,
     check_uint64,
@@ -59,7 +63,9 @@ __all__ = [
 BLOCK_TRIALS = 1024
 
 _PURPOSE_SHIFT = 48  # block index lives in the low 48 bits of the stream id
-_MAX_BLOCK_NORMALS = 2**23  # 64 MiB of uniforms; a tiled sample worker peaks at ~66 MiB
+# a chi-square block holds all its normals (64 MiB at the bound), and
+# a sample block's time grows with M; a sample worker holds one tile
+_MAX_BLOCK_NORMALS = 2**23
 
 
 class GenerativeModel(enum.Enum):
@@ -184,18 +190,21 @@ def _fill_sample_blocks(
     for index in block_indices:
         start = index * BLOCK_TRIALS
         rows = min(BLOCK_TRIALS, out.size - start)
-        rng = block_generator(config.seed, (purpose << _PURPOSE_SHIFT) | index)
-        # always the whole block's uniforms: no trial may depend on the run's length
-        u1 = rng.random(pairs)
-        u2 = rng.random(pairs)
+        stream = (purpose << _PURPOSE_SHIFT) | index
+        # three cursors into the block's one stream, at the pairs' first
+        # uniforms, their second ones, and the signal's, which follow
+        # all of the noise's; pairs is a multiple of 4, a whole counter
+        first = block_generator(config.seed, stream)
+        second = _generator_at(config.seed, stream, pairs)
+        signal = _generator_at(config.seed, stream, 2 * pairs)
         for r0 in range(0, rows, tile_rows):
             r1 = min(r0 + tile_rows, rows)
             p0, p1 = r0 * m // 2, -(-r1 * m // 2)
-            window = _box_muller(u1[p0:p1], u2[p0:p1])[: (r1 - r0) * m].reshape(r1 - r0, m)
+            window = _box_muller(first.random(p1 - p0), second.random(p1 - p0))
+            window = window[: (r1 - r0) * m].reshape(r1 - r0, m)
             window *= math.sqrt(params.noise_variance)
             if truth is Hypothesis.H1:
-                # the signal's uniforms follow all of the noise's, row by row
-                window += bpsk_matrix(params, rng, config.mode, r1 - r0)
+                window += bpsk_matrix(params, signal, config.mode, r1 - r0)
             with np.errstate(over="ignore"):  # see _fill_chisq_blocks
                 np.square(window, out=window)
                 out[start + r0 : start + r1] = np.mean(window, axis=1)

@@ -104,8 +104,20 @@ def block_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); same pair, same draws."""
     check_uint64("seed", seed)
     check_uint64("stream", stream)
+    return _generator_at(seed, stream, 0)
+
+
+def _generator_at(seed: int, stream: int, draw: int) -> np.random.Generator:
+    """block_generator(seed, stream) advanced past its first `draw` doubles.
+
+    Each Philox counter yields 4 words and each double takes one, so
+    draw must be a multiple of 4 and the generator starts at counter
+    draw // 4 with an empty buffer.
+    """
+    if draw % 4:
+        raise ValueError(f"draw must be a multiple of 4, got {draw!r}")
     key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=draw // 4))
 
 
 def standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -146,8 +158,10 @@ def bpsk_matrix(
         raise ValueError(f"num_rows must be >= 1, got {num_rows!r}")
     m = params.num_samples
     if mode is SignalMode.BASEBAND_BPSK:
-        signs = np.where(rng.random(num_rows * m) < 0.5, -1.0, 1.0).reshape(num_rows, m)
-        return math.sqrt(params.signal_variance) * signs
+        # u - 0.5 < 0 exactly when u < 0.5, and u = 0.5 gives +0.0, so +amplitude
+        signal = rng.random(num_rows * m).reshape(num_rows, m)
+        signal -= 0.5
+        return np.copysign(math.sqrt(params.signal_variance), signal, out=signal)
     bits_per_row = -(-m // SAMPLES_PER_BIT)
     bits = np.where(rng.random(num_rows * bits_per_row) < 0.5, -1.0, 1.0)
     bits = bits.reshape(num_rows, bits_per_row)

@@ -126,6 +126,16 @@ class TestBisect:
         assert main(argv) == 0
         assert float(capsys.readouterr().out.splitlines()[-1]) == pytest.approx(3.125e-301, rel=1e-15, abs=0.0)
 
+    def test_huge_band_midpoints_stay_in_band(self, capsys):
+        # 1e308 + 1.5e308 overflows; every midpoint printed as inf
+        argv = ["bisect", "--lambda-low", "1e308", "--lambda-high", "1.5e308", "--energy", "1.2e308"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "1.25e+308,1.125e+308,1.1875e+308,1.21875e+308\n1.21875e+308\n"
+
+    def test_depth_past_the_last_moving_midpoint_is_usage_error(self, capsys):
+        assert main(["bisect", "--energy", "14", "--max-iter", "100000000"]) == 2
+        assert "max_iter must lie in [1, 2099], got 100000000" in capsys.readouterr().err
+
     def test_sensing_flags_are_not_accepted(self, capsys):
         # the trace depends on the band, the energy and the depth only
         for flag, value in (("--snr-db", "99"), ("--u", "3"), ("--samples", "7"), ("--noise-var", "5")):
@@ -316,6 +326,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numeric failure" in err
         assert "SNR a^2/2 = 1000 (30.00 dB)" in err and "28.50 dB" in err
+        assert not os.path.exists(str(tmp_path / "r_single.csv"))
+
+    def test_tiny_noise_variance_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trials drawn before the failure")
+
+        monkeypatch.setattr(cli, "draw_statistics", no_draw)
+        out = str(tmp_path / "r.csv")
+        # the top level 20 + 6 over 1e-320 overflows; the closed forms
+        # reported it as an inf threshold
+        argv = ["roc", "--noise-var", "1e-320", "--grid", "10:20:3", "--trials", "10", "--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --noise-var 1e-320 is too small for level 26.0: their ratio is no finite double\n"
+        )
         assert not os.path.exists(str(tmp_path / "r_single.csv"))
 
     def test_order_above_10_6_is_usage_error(self, tmp_path, monkeypatch, capsys):

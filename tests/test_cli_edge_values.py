@@ -11,9 +11,7 @@ into errors, so one would fail the run as an exception would).
 Flags that size an allocation (--trials, --samples, --u) run with
 draw_statistics replaced by ten fixed statistics, as the exit-code
 tests do. Left out: roc --max-iter 13 to 50, which the resolved
-closed form still sums cell by cell, 2^max_iter cells; and a huge
-bisect or collision --max-iter, whose trace has one midpoint per
-step, so it runs and allocates in proportion to the depth.
+closed form still sums cell by cell, 2^max_iter cells.
 """
 
 from __future__ import annotations
@@ -47,13 +45,14 @@ COMMANDS = {
     ),
     "collision": (
         ["collision", "--pair", "12:18", "--energy", "14", "--trials", "10"],
-        {"--energy": ["11.5", "18.5"], "--max-iter": [], "--snr-db": ["28.6", "3083"],
+        {"--energy": ["11.5", "18.5"], "--max-iter": ["2100", HUGE_INTEGER], "--snr-db": ["28.6", "3083"],
          "--u": ["1000001", HUGE_INTEGER], "--samples": ["8193", HUGE_INTEGER], "--noise-var": [],
          "--trials": ["1", HUGE_INTEGER], "--seed": [HUGE_INTEGER], "--chunks": [HUGE_INTEGER]},
     ),
     "bisect": (
         ["bisect", "--energy", "14"],
-        {"--lambda-low": ["14.5"], "--lambda-high": ["13.5"], "--energy": ["11.5", "18.5"], "--max-iter": []},
+        {"--lambda-low": ["14.5"], "--lambda-high": ["13.5"], "--energy": ["11.5", "18.5"],
+         "--max-iter": ["2100", HUGE_INTEGER]},
     ),
 }
 

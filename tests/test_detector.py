@@ -9,6 +9,9 @@ halving rule and is reproduced exactly, not approximately.
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from crn_sense.detector import (
     BisectionResult,
     Decision,
     ThresholdPair,
+    _midpoints,
     bisection_optimum_threshold,
     double_threshold_decide,
     resolve_fuzzy,
@@ -103,6 +107,23 @@ class TestBisectionConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BisectionConfig(max_iter=0)
+        with pytest.raises(ValueError, match=r"max_iter must lie in \[1, 2099\], got 2100"):
+            BisectionConfig(max_iter=2100)
+        with pytest.raises(ValueError):
+            BisectionConfig(max_iter=2**64)
+
+    def test_deepest_depth_is_the_last_that_moves(self):
+        # the band 0..DBL_MAX halves down to the subnormal spacing 2^-1074
+        # and settles there at step 2099; depths past that add no midpoint
+        deepest = BisectionConfig(max_iter=2099)
+        trace = bisection_optimum_threshold(ThresholdPair(0.0, sys.float_info.max), 5e-324, deepest).trace
+        assert trace[-1] != trace[-2]
+        deeper = SimpleNamespace(max_iter=2200)  # past the bound BisectionConfig enforces
+        rest = [float(mid) for mid in _midpoints(ThresholdPair(0.0, sys.float_info.max), 5e-324, deeper)]
+        assert rest[:2099] == list(trace)
+        assert set(rest[2098:]) == {trace[-1]}
+        # demo 02 resolves 12..18 at depth 60
+        BisectionConfig(max_iter=60)
 
 
 class TestBisection:
@@ -168,6 +189,40 @@ class TestBisection:
         # Python floats, not numpy scalars, whose repr differs
         assert type(result.lambda_opt) is float
         assert all(type(mid) is float for mid in result.trace)
+
+    def test_huge_band_midpoints_are_correctly_rounded(self):
+        # 1e308 + 1.5e308 overflows, and every midpoint used to be inf
+        result = bisection_optimum_threshold(ThresholdPair(1e308, 1.5e308), 1.2e308)
+        assert result.trace == (1.25e308, 1.125e308, 1.1875e308, 1.21875e308)
+        # halving and order commute with scaling by 2^1023, so the trace
+        # on (2^1023, 1.5 x 2^1023) is the trace on (1, 1.5), scaled
+        rng = np.random.default_rng(113)
+        energies = [1.0, 1.5, 1.25, *rng.uniform(1.0, 1.5, 200)]
+        unit, huge = ThresholdPair(1.0, 1.5), ThresholdPair(2.0**1023, 1.5 * 2.0**1023)
+        for depth in (1, 4, 12, 60):
+            config = BisectionConfig(max_iter=depth)
+            for energy in energies:
+                want = bisection_optimum_threshold(unit, float(energy), config).trace
+                got = bisection_optimum_threshold(huge, math.ldexp(energy, 1023), config).trace
+                assert got == tuple(math.ldexp(mid, 1023) for mid in want), (depth, energy)
+
+    def test_every_finite_sum_keeps_its_midpoint(self):
+        # on 0..DBL_MAX, where low + high is finite the midpoint keeps its
+        # bits; where it overflows (low has moved past DBL_MAX / 2) the
+        # midpoint is the exact one, rounded once
+        rng = np.random.default_rng(127)
+        pair = ThresholdPair(0.0, sys.float_info.max)
+        overflowed = 0
+        for energy in [0.0, 5e-324, 1.0, sys.float_info.max, *(10.0 ** rng.uniform(-320, 308, 50))]:
+            low, high = pair.lambda_low, pair.lambda_high
+            for mid in bisection_optimum_threshold(pair, float(energy), BisectionConfig(max_iter=300)).trace:
+                if math.isfinite(low + high):
+                    assert mid == (low + high) / 2.0, energy
+                else:
+                    overflowed += 1
+                    assert mid == float((Fraction(low) + Fraction(high)) / 2), energy
+                low, high = (low, mid) if low < energy < mid else (mid, high)
+        assert overflowed > 0
 
     def test_trace_scales_exactly_by_a_power_of_two(self):
         # halving and order both commute with scaling by 2^-990, so the

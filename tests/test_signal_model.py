@@ -15,6 +15,7 @@ from crn_sense.signal_model import (
     Hypothesis,
     SensingParams,
     SignalMode,
+    _generator_at,
     block_generator,
     bpsk_matrix,
     snr_db_to_linear,
@@ -171,6 +172,28 @@ class TestGenerators:
             assert len(set(signs)) == 1
 
 
+class TestBpskSigns:
+    UNIFORMS = [0.0, 0.49999999999999994, 0.5, 0.5000000000000001, 0.9999999999999999]
+
+    class Stub:
+        def __init__(self, values):
+            self.values = values
+
+        def random(self, count):
+            assert count == len(self.values)
+            return np.array(self.values)
+
+    @pytest.mark.parametrize("snr_db", [-14.0, 3.0, -4000.0])
+    def test_signs_match_a_threshold_at_one_half(self, snr_db):
+        # the old form: a -1/+1 sign per uniform, then one multiply;
+        # at -4000 dB the amplitude is 0.0 and the signs are -0.0 and +0.0
+        p = SensingParams(num_samples=len(self.UNIFORMS), snr_db=snr_db)
+        got = bpsk_matrix(p, self.Stub(self.UNIFORMS), SignalMode.BASEBAND_BPSK, 1)
+        want = math.sqrt(p.signal_variance) * np.where(np.array([self.UNIFORMS]) < 0.5, -1.0, 1.0)
+        assert got.tobytes() == want.tobytes()
+        assert got.shape == (1, len(self.UNIFORMS))
+
+
 class TestStandardNormal:
     def test_fixed_uniform_consumption(self):
         # odd and even requests with the same pair count share a prefix
@@ -199,6 +222,20 @@ class TestBlockGenerator:
 
     def test_full_64_bit_seed_accepted(self):
         block_generator(2**64 - 1, stream=2**64 - 1)
+
+    @pytest.mark.parametrize("seed, stream", [(5, 0), (2**64 - 1, (1 << 48) | 3)])
+    def test_generator_at_starts_at_its_draw(self, seed, stream):
+        # the sample fill's cursors: a whole block at M = 7 holds
+        # pairs = 512 x 7 uniform pairs, then its signal uniforms
+        pairs = 512 * 7
+        whole = block_generator(seed, stream).random(2 * pairs + 64)
+        for draw in (0, 4, pairs, 2 * pairs):
+            got = _generator_at(seed, stream, draw).random(len(whole) - draw)
+            assert got.tobytes() == whole[draw:].tobytes(), draw
+
+    def test_generator_at_refuses_a_partial_counter(self):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            _generator_at(5, 0, 6)
 
 
 class TestSampleBlock:
