@@ -8,7 +8,11 @@ for any parallel_chunks value, including 1. Tiles of rows within a
 sample block, like chunks, only choose how its stream is transformed:
 each tile reads its uniforms through three cursors that start at
 fixed counter offsets of the block's stream, so a tile sees exactly
-the draws a whole-block read would give its rows.
+the draws a whole-block read would give its rows. A process keeps
+up to _MEMO_BYTES (32 MiB) of full blocks' statistics, keyed by
+(seed, params, model, mode, hypothesis, block index), and a repeat
+call copies them instead of drawing again; a block depends on its
+index alone, so this changes time, never a bit.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -23,7 +27,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import os
+import threading
+from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -66,6 +73,12 @@ _PURPOSE_SHIFT = 48  # block index lives in the low 48 bits of the stream id
 # a chi-square block holds all its normals (64 MiB at the bound), and
 # a sample block's time grows with M; a sample worker holds one tile
 _MAX_BLOCK_NORMALS = 2**23
+# full blocks' statistics already drawn in this process, oldest first;
+# read-only arrays, evicted FIFO past _MEMO_BYTES, touched under the lock
+_MEMO_BYTES = 32 * 2**20
+_BLOCK_BYTES = BLOCK_TRIALS * np.dtype(np.float64).itemsize
+_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_memo_lock = threading.Lock()
 
 
 class GenerativeModel(enum.Enum):
@@ -87,11 +100,11 @@ class TrialConfig:
     model: GenerativeModel = GenerativeModel.SAMPLE
 
     def __post_init__(self) -> None:
-        if self.num_trials < 1:
-            raise ValueError(f"num_trials must be >= 1, got {self.num_trials!r}")
+        if not (isinstance(self.num_trials, numbers.Integral) and self.num_trials >= 1):
+            raise ValueError(f"num_trials must be an integer >= 1, got {self.num_trials!r}")
         check_uint64("seed", self.seed)
-        if self.parallel_chunks < 1:
-            raise ValueError(f"parallel_chunks must be >= 1, got {self.parallel_chunks!r}")
+        if not (isinstance(self.parallel_chunks, numbers.Integral) and self.parallel_chunks >= 1):
+            raise ValueError(f"parallel_chunks must be an integer >= 1, got {self.parallel_chunks!r}")
         if not isinstance(self.mode, SignalMode):
             raise ValueError(f"unknown signal mode: {self.mode!r}")
         if not isinstance(self.model, GenerativeModel):
@@ -179,7 +192,7 @@ def _fill_sample_blocks(
     out: np.ndarray,
     config: TrialConfig,
     truth: Hypothesis,
-    block_indices: range,
+    block_indices: Sequence[int],
 ) -> None:
     params = config.params
     purpose = _hypothesis_purpose(truth)
@@ -214,7 +227,7 @@ def _fill_chisq_blocks(
     out: np.ndarray,
     config: TrialConfig,
     truth: Hypothesis,
-    block_indices: range,
+    block_indices: Sequence[int],
 ) -> None:
     params = config.params
     purpose = _hypothesis_purpose(truth)
@@ -238,12 +251,14 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
     """Decision statistics for `count` trials under `truth`.
 
     The first k trials of any run are a prefix of a longer run with
-    the same config, because blocks are keyed by index alone.
+    the same config, because blocks are keyed by index alone. So full
+    blocks already drawn in this process are copied from the memo,
+    and only the others are filled.
     """
     if count is None:
         count = config.num_trials
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     if config.model is GenerativeModel.SAMPLE:
         fill, name, value = _fill_sample_blocks, "num_samples", config.params.num_samples
         normals = BLOCK_TRIALS * value
@@ -257,20 +272,39 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
         )
     out = np.empty(count)
     num_blocks = -(-count // BLOCK_TRIALS)
-    if config.parallel_chunks == 1 or num_blocks == 1:
-        fill(out, config, truth, range(num_blocks))
-        return out
-    # one task per worker, and at most one worker per CPU
-    workers = min(config.parallel_chunks, num_blocks, os.cpu_count() or 1)
-    per_worker = -(-num_blocks // workers)
-    ranges = [
-        range(w * per_worker, min((w + 1) * per_worker, num_blocks))
-        for w in range(workers)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fill, out, config, truth, r) for r in ranges if len(r)]
-        for future in futures:
-            future.result()
+    key = (config.seed, config.params, config.model, config.mode, truth)
+    with _memo_lock:
+        held = [_memo.get(key + (index,)) for index in range(num_blocks)]
+    missing = []
+    for index, block in enumerate(held):
+        if block is None:
+            missing.append(index)
+        else:  # a shorter run's partial last block is a full block's head
+            start = index * BLOCK_TRIALS
+            out[start : start + BLOCK_TRIALS] = block[: count - start]
+    if missing and (config.parallel_chunks == 1 or len(missing) == 1):
+        fill(out, config, truth, missing)
+    elif missing:
+        # one task per worker, and at most one worker per CPU
+        workers = min(config.parallel_chunks, len(missing), os.cpu_count() or 1)
+        per_worker = -(-len(missing) // workers)
+        shares = [missing[w * per_worker : (w + 1) * per_worker] for w in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(fill, out, config, truth, share) for share in shares if share]
+            for future in futures:
+                future.result()
+    # a partial last block is never stored: a 1-row request stays cheap;
+    # of the full ones, only those FIFO eviction would keep are copied
+    full = [index for index in missing if (index + 1) * BLOCK_TRIALS <= count]
+    full = full[max(0, len(full) - _MEMO_BYTES // _BLOCK_BYTES) :]
+    blocks = [out[i * BLOCK_TRIALS : (i + 1) * BLOCK_TRIALS].copy() for i in full]
+    for block in blocks:
+        block.flags.writeable = False
+    with _memo_lock:
+        for index, block in zip(full, blocks):
+            _memo[key + (index,)] = block
+        while len(_memo) * _BLOCK_BYTES > _MEMO_BYTES:
+            _memo.popitem(last=False)
     return out
 
 

@@ -70,8 +70,8 @@ class SensingParams:
     time_bandwidth: int = 5
 
     def __post_init__(self) -> None:
-        if self.num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {self.num_samples!r}")
+        if not (isinstance(self.num_samples, numbers.Integral) and self.num_samples >= 1):
+            raise ValueError(f"num_samples must be an integer >= 1, got {self.num_samples!r}")
         snr_db_to_linear(self.snr_db)  # rejects what has no finite power ratio
         if not (math.isfinite(self.noise_variance) and self.noise_variance > 0.0):
             raise ValueError(f"noise_variance must be positive, got {self.noise_variance!r}")
@@ -96,7 +96,7 @@ def snr_db_to_linear(snr_db: float) -> float:
 
 def check_uint64(name: str, value: int) -> None:
     """Reject a seed or stream id that does not fit Philox's 64-bit key words."""
-    if not 0 <= value < _MAX_UINT64:
+    if not (isinstance(value, numbers.Integral) and 0 <= value < _MAX_UINT64):
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
 
 

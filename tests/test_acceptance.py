@@ -42,7 +42,7 @@ from crn_sense.reference_tables import (
 )
 from crn_sense.specfun import gaussian_q, marcum_q, reg_upper_gamma
 
-from conftest import record_acceptance
+from conftest import clear_block_memo, record_acceptance
 from oracles import finite_sum_oracle, marcum_quad_oracle, sample_energy_sf_oracle
 
 SNR = 10.0 ** (-1.4)
@@ -395,6 +395,7 @@ def test_criterion_8_determinism_and_goldens(tmp_path, capsys):
     serial = str(tmp_path / "serial.csv")
     threaded = str(tmp_path / "threaded.csv")
     assert main(args + ["--out", serial, "--chunks", "1"]) == 0
+    clear_block_memo()
     assert main(args + ["--out", threaded, "--chunks", "4"]) == 0
     for suffix in ("single", "double", "optimum"):
         with open(str(tmp_path / f"serial_{suffix}.csv"), encoding="utf-8") as fh:

@@ -27,6 +27,8 @@ from crn_sense.cli import build_parser, main
 from crn_sense.detector import ThresholdPair
 from crn_sense.montecarlo import TrialConfig
 
+from conftest import clear_block_memo
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -191,6 +193,7 @@ class TestRoc:
         serial = str(tmp_path / "serial.csv")
         threaded = str(tmp_path / "threaded.csv")
         main(self.ARGS + ["--out", serial, "--chunks", "1"])
+        clear_block_memo()
         main(self.ARGS + ["--out", threaded, "--chunks", "4"])
         for suffix in ("single", "double", "optimum"):
             a = read(str(tmp_path / f"serial_{suffix}.csv"))

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -48,6 +50,8 @@ from crn_sense.montecarlo import (
     roc_empirical,
 )
 from crn_sense.signal_model import Hypothesis, SensingParams, SignalMode, block_generator, bpsk_matrix
+
+from conftest import clear_block_memo
 
 SNR = 10.0 ** (-1.4)
 
@@ -89,6 +93,18 @@ class TestTrialConfig:
             TrialConfig(num_trials=10, seed=1, mode="baseband")
         with pytest.raises(ValueError):
             TrialConfig(num_trials=10, seed=1, model="chisq")
+        # seed=1.5 drew seed 1's stream, parallel_chunks=2.5 ran, and
+        # num_trials=2000.5 failed as a TypeError at the draw
+        for field, value in (("seed", 1.5), ("seed", 1.0), ("num_trials", 2000.5), ("parallel_chunks", 2.5)):
+            with pytest.raises(ValueError, match=field):
+                TrialConfig(**{"num_trials": 10, "seed": 1, field: value})
+
+    def test_draw_counts_are_validated(self):
+        # 2.0 ended in a numpy TypeError
+        config = TrialConfig(num_trials=10, seed=1, model=GenerativeModel.CHISQ)
+        for n_h0 in (0, 2.0, 2.5):
+            with pytest.raises(ValueError, match="count must be an integer >= 1"):
+                draw_statistics(config, n_h0, 3)
 
     def test_defaults(self):
         config = TrialConfig(num_trials=10, seed=1)
@@ -101,6 +117,7 @@ class TestDeterminism:
     def test_same_config_same_counts(self):
         config = TrialConfig(num_trials=3000, seed=42, model=GenerativeModel.CHISQ)
         a = estimate_single(10.0, config, Hypothesis.H0)
+        clear_block_memo()
         b = estimate_single(10.0, config, Hypothesis.H0)
         assert a == b
 
@@ -111,6 +128,7 @@ class TestDeterminism:
         threaded = TrialConfig(**base, parallel_chunks=4)
         for truth in (Hypothesis.H0, Hypothesis.H1):
             a = _statistics(serial, truth)
+            clear_block_memo()
             b = _statistics(threaded, truth)
             assert np.array_equal(a, b)
 
@@ -142,12 +160,14 @@ class TestDeterminism:
         pooled = _statistics(TrialConfig(**base, parallel_chunks=10000), Hypothesis.H0)
         assert sizes == [workers] and len(tasks) == workers
         assert sorted(block for blocks in tasks for block in blocks) == list(range(11))
+        clear_block_memo()
         assert np.array_equal(pooled, _statistics(TrialConfig(**base), Hypothesis.H0))
 
     def test_prefix_property(self):
         # first k trials of a longer run equal a k-trial run outright
         short = TrialConfig(num_trials=1000, seed=13, model=GenerativeModel.CHISQ)
         stats_short = _statistics(short, Hypothesis.H1)
+        clear_block_memo()
         stats_long = _statistics(short, Hypothesis.H1, 2500)
         assert np.array_equal(stats_long[:1000], stats_short)
 
@@ -172,6 +192,143 @@ class TestDeterminism:
         assert not np.array_equal(
             _statistics(config, Hypothesis.H0), _statistics(config, Hypothesis.H1)
         )
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """(hypothesis purpose, block index) of every block drawn from here on."""
+    blocks = []
+    original = montecarlo.block_generator
+
+    def counting(seed, stream=0):
+        blocks.append((stream >> montecarlo._PURPOSE_SHIFT, stream % (1 << montecarlo._PURPOSE_SHIFT)))
+        return original(seed, stream)
+
+    monkeypatch.setattr(montecarlo, "block_generator", counting)
+    return blocks
+
+
+class TestBlockMemo:
+    """A repeat draw copies full blocks from the memo; only time may differ."""
+
+    @pytest.mark.parametrize("model", list(GenerativeModel))
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_warm_memo_gives_cold_bytes(self, drawn, model, chunks):
+        # 3 full blocks and a 100-row one; 1025 and 2048 trials end on
+        # blocks that the longer run stored in full
+        config = TrialConfig(
+            num_trials=3 * BLOCK_TRIALS + 100, seed=31, model=model,
+            params=SensingParams(num_samples=16), parallel_chunks=chunks,
+        )
+        counts = (config.num_trials, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS)
+        for truth in Hypothesis:
+            purpose = 0 if truth is Hypothesis.H0 else 1
+            cold = {}
+            for count in counts:
+                clear_block_memo()
+                cold[count] = _statistics(config, truth, count).tobytes()
+            clear_block_memo()
+            drawn.clear()
+            for count in counts:
+                assert _statistics(config, truth, count).tobytes() == cold[count], (truth, count)
+            assert sorted(drawn) == [(purpose, index) for index in range(4)]
+            drawn.clear()
+            assert _statistics(config, truth).tobytes() == cold[config.num_trials]
+            assert drawn == [(purpose, 3)]  # the partial block, filled again
+
+    def test_returned_arrays_belong_to_the_caller(self):
+        config = TrialConfig(num_trials=2 * BLOCK_TRIALS, seed=3, model=GenerativeModel.CHISQ)
+        h0, h1 = draw_statistics(config)
+        want = h0.tobytes(), h1.tobytes()
+        h0[:] = -1.0
+        h1[:] = np.inf
+        assert tuple(a.tobytes() for a in draw_statistics(config)) == want
+        assert all(not block.flags.writeable for block in montecarlo._memo.values())
+
+    def test_partial_block_is_filled_but_never_stored(self, drawn):
+        config = TrialConfig(num_trials=BLOCK_TRIALS + 5, seed=8, model=GenerativeModel.CHISQ)
+        _statistics(config, Hypothesis.H1)
+        assert [key[-1] for key in montecarlo._memo] == [0]
+        _statistics(config, Hypothesis.H1)
+        assert drawn == [(1, 0), (1, 1), (1, 1)]
+        # one row at the block bound fills one row and keeps nothing
+        clear_block_memo()
+        wide = TrialConfig(num_trials=1, seed=8, params=SensingParams(num_samples=8192))
+        assert _statistics(wide, Hypothesis.H0).shape == (1,)
+        assert not montecarlo._memo
+
+    def test_eviction_is_fifo_within_the_bound(self, drawn, monkeypatch):
+        config = TrialConfig(num_trials=5 * BLOCK_TRIALS, seed=12, model=GenerativeModel.CHISQ, parallel_chunks=2)
+        cold = _statistics(config, Hypothesis.H0).tobytes()
+        clear_block_memo()
+        bound = 3 * montecarlo._BLOCK_BYTES
+        monkeypatch.setattr(montecarlo, "_MEMO_BYTES", bound)
+
+        def held():
+            assert sum(block.nbytes for block in montecarlo._memo.values()) <= bound
+            return [key[-1] for key in montecarlo._memo]
+
+        drawn.clear()
+        assert _statistics(config, Hypothesis.H0).tobytes() == cold
+        assert held() == [2, 3, 4]
+        # blocks 0 and 1 were evicted, so they are drawn again, by the
+        # pool, and push out the two oldest
+        drawn.clear()
+        assert _statistics(config, Hypothesis.H0, 3 * BLOCK_TRIALS).tobytes() == cold[: 3 * 8 * BLOCK_TRIALS]
+        assert sorted(drawn) == [(0, 0), (0, 1)]
+        assert held() == [4, 0, 1]
+        drawn.clear()
+        assert _statistics(config, Hypothesis.H0).tobytes() == cold
+        assert sorted(drawn) == [(0, 2), (0, 3)]
+        assert held() == [1, 2, 3]
+
+    def test_user_threads_get_the_same_rates(self, monkeypatch):
+        # more threads than cores, switching often, on a memo too small
+        # for the config's 8 full blocks, so lookups, stores and
+        # evictions of the threads interleave
+        config = TrialConfig(num_trials=8 * BLOCK_TRIALS + 7, seed=23, model=GenerativeModel.CHISQ)
+        stats = _statistics(config, Hypothesis.H1)
+        cold = estimate_single(12.0, config, Hypothesis.H1)
+        clear_block_memo()
+        monkeypatch.setattr(montecarlo, "_MEMO_BYTES", 5 * montecarlo._BLOCK_BYTES)
+        barrier = threading.Barrier(4)
+
+        def rates(_):
+            barrier.wait(timeout=60)
+            return [estimate_single(12.0, config, Hypothesis.H1) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(rates, thread) for thread in range(4)]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[cold] * 3] * 4
+        assert 0 < len(montecarlo._memo) <= 5
+        for key, block in montecarlo._memo.items():
+            index = key[-1]
+            assert block.tobytes() == stats[index * BLOCK_TRIALS : (index + 1) * BLOCK_TRIALS].tobytes()
+
+    def test_library_calls_draw_each_full_block_once(self, drawn):
+        # the calls a demo makes on one config, each asking for its
+        # statistics again; 6 full blocks and a 200-row one
+        config = TrialConfig(num_trials=6 * BLOCK_TRIALS + 200, seed=4, model=GenerativeModel.CHISQ)
+        pair = ThresholdPair(12.0, 18.0)
+        for truth in Hypothesis:
+            for threshold in (10.0, 14.0, 18.0):
+                estimate_single(threshold, config, truth)
+        for resolver in ("report-fuzzy", "bisection-resolve"):
+            estimate_double(pair, config, resolver=resolver)
+        collision_sweep([pair, ThresholdPair(8.0, 20.0)], [14.5], config)
+        roc_empirical([float(k) for k in range(31)], config)
+        counts = Counter(drawn)
+        assert {block: counts[block] for block in counts if block[1] < 6} == {
+            (purpose, index): 1 for purpose in (0, 1) for index in range(6)
+        }
+        # only the 200-row block is filled by every full-length call
+        assert counts[(0, 6)] == counts[(1, 6)] == 4
 
 
 def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int) -> np.ndarray:
@@ -219,6 +376,7 @@ class TestTiledSampleFill:
         want = whole_block_statistics(config, truth, max(counts))
         for count in counts:
             for chunks in (1, 2) if count > BLOCK_TRIALS else (1,):
+                clear_block_memo()
                 got = _statistics(replace(config, parallel_chunks=chunks), truth, count)
                 assert got.tobytes() == want[:count].tobytes(), (m, variance, snr_db, mode, truth, count, chunks)
 
@@ -510,7 +668,9 @@ class TestRocEmpirical:
 
     def test_deterministic(self):
         grid = [6.0, 12.0, 18.0]
-        assert roc_empirical(grid, self.CONFIG) == roc_empirical(grid, self.CONFIG)
+        first = roc_empirical(grid, self.CONFIG)
+        clear_block_memo()
+        assert roc_empirical(grid, self.CONFIG) == first
 
     def test_single_point_grid(self):
         curve = roc_empirical([12.0], self.CONFIG)

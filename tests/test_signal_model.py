@@ -22,6 +22,8 @@ from crn_sense.signal_model import (
     standard_normal,
 )
 
+from conftest import clear_block_memo
+
 
 class TestSnrConversion:
     def test_trivial_points(self):
@@ -51,6 +53,10 @@ class TestSensingParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             SensingParams(num_samples=0)
+        # 100.0 passed and then failed as a TypeError at the first draw
+        for m in (100.0, 2.5):
+            with pytest.raises(ValueError, match="num_samples must be an integer"):
+                SensingParams(num_samples=m)
         with pytest.raises(ValueError):
             SensingParams(noise_variance=0.0)
         with pytest.raises(ValueError):
@@ -74,7 +80,9 @@ class TestGenerators:
         assert np.array_equal(a, b)
         assert a.shape == (4,)
         config = TrialConfig(num_trials=3, seed=7, params=SensingParams(num_samples=4))
-        assert np.array_equal(_statistics(config, Hypothesis.H0), _statistics(config, Hypothesis.H0))
+        first = _statistics(config, Hypothesis.H0)
+        clear_block_memo()
+        assert np.array_equal(first, _statistics(config, Hypothesis.H0))
 
     def test_distinct_seeds_and_streams_differ(self):
         base = standard_normal(block_generator(seed=1), 16)
