@@ -4,15 +4,15 @@ Determinism contract: trials are generated in fixed blocks of 1024,
 each block from its own counter-based stream derived from (seed,
 hypothesis, block index). Worker threads only pick which blocks to
 fill, never how a block is generated, so counts are bit-identical
-for any parallel_chunks value, including 1. Tiles of rows within a
-sample block, like chunks, only choose how its stream is transformed:
-each tile reads its uniforms through three cursors that start at
-fixed counter offsets of the block's stream, so a tile sees exactly
-the draws a whole-block read would give its rows. A process keeps
-up to _MEMO_BYTES (32 MiB) of full blocks' statistics, keyed by
-(seed, params, model, mode, hypothesis, block index), and a repeat
-call copies them instead of drawing again; a block depends on its
-index alone, so this changes time, never a bit.
+for any parallel_chunks value, including 1. Both models read a block
+tile by tile, and tiles of rows, like chunks, only choose how its
+stream is transformed: each tile reads its uniforms through cursors
+that start at fixed counter offsets of the block's stream, so a tile
+sees exactly the draws a whole-block read would give its rows. A
+process keeps up to _MEMO_BYTES (32 MiB) of full blocks' statistics,
+keyed by (seed, params, model, mode, hypothesis, block index), and a
+repeat call copies them instead of drawing again; a block depends on
+its index alone, so this changes time, never a bit.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -48,7 +48,6 @@ from .signal_model import (
     block_generator,
     bpsk_matrix,
     check_uint64,
-    standard_normal,
 )
 
 __all__ = [
@@ -70,8 +69,8 @@ __all__ = [
 BLOCK_TRIALS = 1024
 
 _PURPOSE_SHIFT = 48  # block index lives in the low 48 bits of the stream id
-# a chi-square block holds all its normals (64 MiB at the bound), and
-# a sample block's time grows with M; a sample worker holds one tile
+# a worker holds one tile of either model, so this caps a block's time
+# only, which grows with its normals
 _MAX_BLOCK_NORMALS = 2**23
 # full blocks' statistics already drawn in this process, oldest first;
 # read-only arrays, evicted FIFO past _MEMO_BYTES, touched under the lock
@@ -188,7 +187,7 @@ def _hypothesis_purpose(truth: Hypothesis) -> int:
     return 0 if truth is Hypothesis.H0 else 1
 
 
-def _fill_sample_blocks(
+def _fill_blocks(
     out: np.ndarray,
     config: TrialConfig,
     truth: Hypothesis,
@@ -196,7 +195,9 @@ def _fill_sample_blocks(
 ) -> None:
     params = config.params
     purpose = _hypothesis_purpose(truth)
-    m = params.num_samples
+    chisq = config.model is GenerativeModel.CHISQ
+    # a row is one window of M samples, or the chi-square model's 2u dimensions
+    m = 2 * params.time_bandwidth if chisq else params.num_samples
     pairs = BLOCK_TRIALS * m // 2
     # an even row count keeps every tile on a Box-Muller pair boundary
     tile_rows = 2 * max(1, 2**15 // m)
@@ -204,47 +205,35 @@ def _fill_sample_blocks(
         start = index * BLOCK_TRIALS
         rows = min(BLOCK_TRIALS, out.size - start)
         stream = (purpose << _PURPOSE_SHIFT) | index
-        # three cursors into the block's one stream, at the pairs' first
-        # uniforms, their second ones, and the signal's, which follow
-        # all of the noise's; pairs is a multiple of 4, a whole counter
+        # cursors into the block's one stream, at the pairs' first
+        # uniforms, their second ones, and a sample window's signal,
+        # which follow all of the noise's; pairs is a multiple of 4
+        # (m·512), a whole counter
         first = block_generator(config.seed, stream)
         second = _generator_at(config.seed, stream, pairs)
-        signal = _generator_at(config.seed, stream, 2 * pairs)
+        if truth is Hypothesis.H1 and not chisq:
+            signal = _generator_at(config.seed, stream, 2 * pairs)
         for r0 in range(0, rows, tile_rows):
             r1 = min(r0 + tile_rows, rows)
             p0, p1 = r0 * m // 2, -(-r1 * m // 2)
             window = _box_muller(first.random(p1 - p0), second.random(p1 - p0))
             window = window[: (r1 - r0) * m].reshape(r1 - r0, m)
-            window *= math.sqrt(params.noise_variance)
-            if truth is Hypothesis.H1:
-                window += bpsk_matrix(params, signal, config.mode, r1 - r0)
-            with np.errstate(over="ignore"):  # see _fill_chisq_blocks
+            if chisq:
+                if truth is Hypothesis.H1:
+                    window[:, 0] += math.sqrt(2.0 * params.snr_linear)
+            else:
+                window *= math.sqrt(params.noise_variance)
+                if truth is Hypothesis.H1:
+                    window += bpsk_matrix(params, signal, config.mode, r1 - r0)
+            # a statistic past the largest double is above every finite
+            # threshold, so the inf it overflows to gives the right verdict
+            with np.errstate(over="ignore"):
                 np.square(window, out=window)
-                out[start + r0 : start + r1] = np.mean(window, axis=1)
-
-
-def _fill_chisq_blocks(
-    out: np.ndarray,
-    config: TrialConfig,
-    truth: Hypothesis,
-    block_indices: Sequence[int],
-) -> None:
-    params = config.params
-    purpose = _hypothesis_purpose(truth)
-    dim = 2 * params.time_bandwidth
-    offset = math.sqrt(2.0 * params.snr_linear)
-    for index in block_indices:
-        start = index * BLOCK_TRIALS
-        rows = min(BLOCK_TRIALS, out.size - start)
-        rng = block_generator(config.seed, (purpose << _PURPOSE_SHIFT) | index)
-        # full block for the same reason as the sample model above
-        z = standard_normal(rng, BLOCK_TRIALS * dim).reshape(BLOCK_TRIALS, dim)[:rows]
-        if truth is Hypothesis.H1:
-            z[:, 0] += offset
-        # a statistic past the largest double is above every finite
-        # threshold, so the inf it overflows to gives the right verdict
-        with np.errstate(over="ignore"):
-            out[start : start + rows] = params.noise_variance * np.sum(np.square(z), axis=1)
+                tile = out[start + r0 : start + r1]
+                if chisq:
+                    np.multiply(params.noise_variance, np.sum(window, axis=1), out=tile)
+                else:
+                    np.mean(window, axis=1, out=tile)
 
 
 def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None) -> np.ndarray:
@@ -259,12 +248,12 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
         count = config.num_trials
     if not (isinstance(count, numbers.Integral) and count >= 1):
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    if config.model is GenerativeModel.SAMPLE:
-        fill, name, value = _fill_sample_blocks, "num_samples", config.params.num_samples
-        normals = BLOCK_TRIALS * value
-    else:
-        fill, name, value = _fill_chisq_blocks, "time_bandwidth", config.params.time_bandwidth
-        normals = BLOCK_TRIALS * 2 * value
+    if not isinstance(truth, Hypothesis):
+        raise ValueError(f"unknown hypothesis: {truth!r}")
+    chisq = config.model is GenerativeModel.CHISQ
+    name = "time_bandwidth" if chisq else "num_samples"
+    value = getattr(config.params, name)
+    normals = BLOCK_TRIALS * value * (2 if chisq else 1)
     if normals > _MAX_BLOCK_NORMALS:
         raise ValueError(
             f"{config.model.value} model: {name}={value!r} needs {normals} normals per "
@@ -283,14 +272,14 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
             start = index * BLOCK_TRIALS
             out[start : start + BLOCK_TRIALS] = block[: count - start]
     if missing and (config.parallel_chunks == 1 or len(missing) == 1):
-        fill(out, config, truth, missing)
+        _fill_blocks(out, config, truth, missing)
     elif missing:
         # one task per worker, and at most one worker per CPU
         workers = min(config.parallel_chunks, len(missing), os.cpu_count() or 1)
         per_worker = -(-len(missing) // workers)
         shares = [missing[w * per_worker : (w + 1) * per_worker] for w in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, out, config, truth, share) for share in shares if share]
+            futures = [pool.submit(_fill_blocks, out, config, truth, share) for share in shares if share]
             for future in futures:
                 future.result()
     # a partial last block is never stored: a 1-row request stays cheap;

@@ -28,7 +28,6 @@ __all__ = [
     "snr_db_to_linear",
     "check_uint64",
     "block_generator",
-    "standard_normal",
     "bpsk_matrix",
 ]
 
@@ -118,21 +117,6 @@ def _generator_at(seed: int, stream: int, draw: int) -> np.random.Generator:
         raise ValueError(f"draw must be a multiple of 4, got {draw!r}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=draw // 4))
-
-
-def standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count standard normal draws via Box-Muller.
-
-    Always consumes 2 * ceil(count / 2) uniforms, independent of the
-    values drawn; that fixed budget is what makes block streams safe to
-    generate in any order.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    pairs = (count + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    return _box_muller(u1, u2)[:count]
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

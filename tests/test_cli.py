@@ -368,8 +368,7 @@ class TestExitCodes:
         def no_fill(*args, **kwargs):
             raise AssertionError("block filled before the failure")
 
-        monkeypatch.setattr(montecarlo, "_fill_sample_blocks", no_fill)
-        monkeypatch.setattr(montecarlo, "_fill_chisq_blocks", no_fill)
+        monkeypatch.setattr(montecarlo, "_fill_blocks", no_fill)
         out = str(tmp_path / "r.csv")
         assert main(["roc", "--model", "chisq", "--u", "1000000", "--trials", "2000", "--out", out]) == 2
         err = capsys.readouterr().err

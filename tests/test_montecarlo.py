@@ -177,8 +177,7 @@ class TestDeterminism:
     )
     def test_block_of_more_than_2_23_normals_is_refused(self, model, field, largest, monkeypatch):
         filled = []
-        fill = f"_fill_{model.value}_blocks"
-        monkeypatch.setattr(montecarlo, fill, lambda out, *args: filled.append(out.size))
+        monkeypatch.setattr(montecarlo, "_fill_blocks", lambda out, *args: filled.append(out.size))
         config = TrialConfig(num_trials=10, seed=1, model=model, params=SensingParams(**{field: largest}))
         _statistics(config, Hypothesis.H1)
         assert filled == [10]
@@ -332,12 +331,14 @@ class TestBlockMemo:
 
 
 def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int) -> np.ndarray:
-    """The sample fill as it was before tiling: every 1024-trial block
-    drawn in order from one generator and transformed as one 1024 x M
-    array, the signal added over all 1024 rows, and then the head of
-    the block kept. One generator, so no counter offset is assumed."""
+    """The block fill as it was before tiling: every 1024-trial block
+    drawn in order from one generator and transformed as one 1024 x m
+    array (M samples, or the chisq model's 2u dimensions), the signal
+    added over all 1024 rows, and then the head of the block kept. One
+    generator, so no counter offset is assumed."""
     params = config.params
-    m = params.num_samples
+    chisq = config.model is GenerativeModel.CHISQ
+    m = 2 * params.time_bandwidth if chisq else params.num_samples
     purpose = 0 if truth is Hypothesis.H0 else 1
     pairs = BLOCK_TRIALS * m // 2
     out = np.empty(count)
@@ -352,6 +353,12 @@ def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int) -
         z = np.empty(2 * pairs)
         z[0::2] = radius * np.cos(angle)
         z[1::2] = radius * np.sin(angle)
+        if chisq:
+            z = z.reshape(BLOCK_TRIALS, m)[:rows]
+            if truth is Hypothesis.H1:
+                z[:, 0] += math.sqrt(2.0 * params.snr_linear)
+            out[start : start + rows] = params.noise_variance * np.sum(np.square(z), axis=1)
+            continue
         received = math.sqrt(params.noise_variance) * z.reshape(BLOCK_TRIALS, m)
         if truth is Hypothesis.H1:
             received = received + bpsk_matrix(params, rng, config.mode, BLOCK_TRIALS)
@@ -360,25 +367,29 @@ def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int) -
 
 
 class TestTiledSampleFill:
-    """The sample fill transforms each block in tiles of rows; tiles,
-    like chunks, must only choose how the uniform stream is transformed.
+    """The block fill transforms each block in tiles of rows, for both
+    models; tiles, like chunks, must only choose how the uniform stream
+    is transformed.
 
     A second chunk only changes the run when there is a second block,
     so single-block counts run with one chunk. H0 windows hold no
-    signal, so the signal mode and SNR cannot reach them.
+    signal, so the signal mode and SNR cannot reach them, and the
+    chisq model draws no signal mode at all.
     """
 
     COUNTS = (1, 63, 1024, 1025, 2500)
 
-    def check(self, m, variance, snr_db, mode, truth, counts):
-        params = SensingParams(num_samples=m, snr_db=snr_db, noise_variance=variance)
-        config = TrialConfig(num_trials=max(counts), seed=1000 + m, params=params, mode=mode)
+    def check(self, m, variance, snr_db, mode, truth, counts, model=GenerativeModel.SAMPLE):
+        # m is num_samples for the sample model and time_bandwidth for the chisq one
+        field = "time_bandwidth" if model is GenerativeModel.CHISQ else "num_samples"
+        params = SensingParams(**{field: m}, snr_db=snr_db, noise_variance=variance)
+        config = TrialConfig(num_trials=max(counts), seed=1000 + m, params=params, mode=mode, model=model)
         want = whole_block_statistics(config, truth, max(counts))
         for count in counts:
             for chunks in (1, 2) if count > BLOCK_TRIALS else (1,):
                 clear_block_memo()
                 got = _statistics(replace(config, parallel_chunks=chunks), truth, count)
-                assert got.tobytes() == want[:count].tobytes(), (m, variance, snr_db, mode, truth, count, chunks)
+                assert got.tobytes() == want[:count].tobytes(), (model, m, variance, snr_db, mode, truth, count, chunks)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 63, 64, 65])
     def test_short_windows_keep_their_bits(self, m):
@@ -400,14 +411,22 @@ class TestTiledSampleFill:
         for mode in SignalMode:
             self.check(8192, 2.5, 3.0, mode, Hypothesis.H1, (BLOCK_TRIALS,))
 
+    @pytest.mark.parametrize("u", [1, 5, 32, 33, 500])
+    def test_chisq_rows_keep_their_bits(self, u):
+        # 2u-wide rows: one tile a block up to u = 32, two from u = 33,
+        # and sixteen 64-row tiles at u = 500
+        cases = ((2.5, 3.0, Hypothesis.H0), (1.0, -14.0, Hypothesis.H1), (2.5, 3.0, Hypothesis.H1))
+        for variance, snr_db, truth in cases:
+            self.check(u, variance, snr_db, SignalMode.BASEBAND_BPSK, truth, self.COUNTS, GenerativeModel.CHISQ)
+
     @staticmethod
-    def block_peak(mode, m):
-        """tracemalloc peak of filling one 1024 x m H1 block."""
-        config = TrialConfig(num_trials=BLOCK_TRIALS, seed=5, params=SensingParams(num_samples=m), mode=mode)
+    def block_peak(params, mode=SignalMode.BASEBAND_BPSK, model=GenerativeModel.SAMPLE):
+        """tracemalloc peak of filling one 1024-trial H1 block."""
+        config = TrialConfig(num_trials=BLOCK_TRIALS, seed=5, params=params, mode=mode, model=model)
         out = np.empty(BLOCK_TRIALS)
         tracemalloc.start()
         try:
-            montecarlo._fill_sample_blocks(out, config, Hypothesis.H1, range(1))
+            montecarlo._fill_blocks(out, config, Hypothesis.H1, range(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,12 +435,19 @@ class TestTiledSampleFill:
     def test_block_working_set(self, mode):
         # the block's uniforms alone take 7.8 MiB; read tile by tile,
         # it peaks at about 2.3 MiB
-        assert self.block_peak(mode, 1000) < 4 * 2**20
+        assert self.block_peak(SensingParams(num_samples=1000), mode) < 4 * 2**20
 
     @pytest.mark.parametrize("mode", list(SignalMode))
     def test_largest_block_working_set(self, mode):
         # 64 MiB of uniforms at the block bound, and still one tile's worth
-        assert self.block_peak(mode, 8192) < 4 * 2**20
+        assert self.block_peak(SensingParams(num_samples=8192), mode) < 4 * 2**20
+
+    @pytest.mark.parametrize("u", [500, 4096])
+    def test_chisq_block_working_set(self, u):
+        # a whole-block read peaked at 27 MiB at u = 500 and 224 MiB at
+        # the block bound, u = 4096
+        params = SensingParams(time_bandwidth=u)
+        assert self.block_peak(params, model=GenerativeModel.CHISQ) < 4 * 2**20
 
 
 class TestEstimateSingle:
@@ -435,6 +461,10 @@ class TestEstimateSingle:
             estimate_single(-0.5, config, Hypothesis.H0)
         with pytest.raises(ValueError):
             estimate_single(math.inf, config, Hypothesis.H0)
+        # any truth but H0 drew H1's stream without its signal
+        for truth in ("h1", None):
+            with pytest.raises(ValueError, match=f"unknown hypothesis: {truth!r}"):
+                estimate_single(14.0, config, truth)
 
     def test_chisq_frozen_and_true(self):
         config = TrialConfig(num_trials=100000, seed=7, model=GenerativeModel.CHISQ)

@@ -15,14 +15,21 @@ from crn_sense.signal_model import (
     Hypothesis,
     SensingParams,
     SignalMode,
+    _box_muller,
     _generator_at,
     block_generator,
     bpsk_matrix,
     snr_db_to_linear,
-    standard_normal,
 )
 
 from conftest import clear_block_memo
+
+
+def box_muller(seed: int, pairs: int, stream: int = 0) -> np.ndarray:
+    """2·pairs normals of (seed, stream) in a block's draw order: every
+    pair's first uniform, then every second one."""
+    rng = block_generator(seed, stream)
+    return _box_muller(rng.random(pairs), rng.random(pairs))
 
 
 class TestSnrConversion:
@@ -75,9 +82,8 @@ class TestSensingParams:
 
 class TestGenerators:
     def test_gen_noise_deterministic(self):
-        a = standard_normal(block_generator(seed=7), 4)
-        b = standard_normal(block_generator(seed=7), 4)
-        assert np.array_equal(a, b)
+        a = box_muller(7, 2)
+        assert np.array_equal(a, box_muller(7, 2))
         assert a.shape == (4,)
         config = TrialConfig(num_trials=3, seed=7, params=SensingParams(num_samples=4))
         first = _statistics(config, Hypothesis.H0)
@@ -85,15 +91,15 @@ class TestGenerators:
         assert np.array_equal(first, _statistics(config, Hypothesis.H0))
 
     def test_distinct_seeds_and_streams_differ(self):
-        base = standard_normal(block_generator(seed=1), 16)
-        assert not np.array_equal(base, standard_normal(block_generator(seed=2), 16))
-        assert not np.array_equal(base, standard_normal(block_generator(seed=1, stream=1), 16))
+        base = box_muller(1, 8)
+        assert not np.array_equal(base, box_muller(2, 8))
+        assert not np.array_equal(base, box_muller(1, 8, stream=1))
         p = SensingParams(num_samples=16)
         stats = _statistics(TrialConfig(num_trials=4, seed=1, params=p), Hypothesis.H0)
         assert not np.array_equal(stats, _statistics(TrialConfig(num_trials=4, seed=2, params=p), Hypothesis.H0))
 
     def test_noise_variance_calibration(self):
-        z = standard_normal(block_generator(seed=3), 10**6)
+        z = box_muller(3, 10**6 // 2)
         assert 0.99 <= float(np.var(z)) <= 1.01
         # 1000 idle windows of 1000 samples: the mean statistic is the
         # mean square of 10^6 noise samples, which is the noise variance
@@ -103,7 +109,7 @@ class TestGenerators:
             assert abs(float(np.mean(stats)) - variance) <= tolerance
 
     def test_noise_lag1_autocorrelation_near_zero(self):
-        x = standard_normal(block_generator(seed=5), 10**6)
+        x = box_muller(5, 10**6 // 2)
         x = x - x.mean()
         lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(lag1) < 0.005
@@ -115,12 +121,12 @@ class TestGenerators:
         # Monte Carlo engine draws an H1 window
         def h1_window(seed):
             rng = block_generator(seed)
-            noise = standard_normal(rng, 64).reshape(1, 64)
+            noise = _box_muller(rng.random(32), rng.random(32)).reshape(1, 64)
             return noise + bpsk_matrix(p, rng, SignalMode.BASEBAND_BPSK, 1)
 
         a = h1_window(11)
         assert np.array_equal(a, h1_window(11))
-        assert not np.array_equal(a[0], standard_normal(block_generator(11), 64))
+        assert not np.array_equal(a[0], box_muller(11, 32))
 
     def test_baseband_signal_is_constant_magnitude(self):
         p = SensingParams(num_samples=512, snr_db=-14.0)
@@ -203,20 +209,10 @@ class TestBpskSigns:
 
 
 class TestStandardNormal:
-    def test_fixed_uniform_consumption(self):
-        # odd and even requests with the same pair count share a prefix
-        a = standard_normal(block_generator(31), 5)
-        b = standard_normal(block_generator(31), 6)
-        assert np.array_equal(a, b[:5])
-
     def test_moments(self):
-        z = standard_normal(block_generator(37), 400000)
+        z = box_muller(37, 200000)
         assert abs(float(z.mean())) < 0.01
         assert abs(float(z.std()) - 1.0) < 0.01
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            standard_normal(block_generator(1), 0)
 
 
 class TestBlockGenerator:
@@ -250,7 +246,7 @@ class TestSampleBlock:
     def test_length_matches_params(self):
         for m in (1, 5, 1000):
             p = SensingParams(num_samples=m)
-            assert standard_normal(block_generator(seed=1), m).shape == (m,)
+            assert box_muller(1, m).shape == (2 * m,)
             assert _statistics(TrialConfig(num_trials=3, seed=1, params=p), Hypothesis.H1).shape == (3,)
             assert bpsk_matrix(p, block_generator(seed=1), SignalMode.BASEBAND_BPSK, 1).shape == (1, m)
 
