@@ -264,8 +264,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_roc(args: argparse.Namespace) -> int:
     start = time.monotonic()
     seed = _resolve_seed(args.seed)
-    params = _sensing_params(args)
     config = _trial_config(args, seed)
+    params = config.params
     grid = _parse_grid(args.grid)
     band_width = args.lambda_high - args.lambda_low
     if band_width < 0.0:
@@ -415,8 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     roc = sub.add_parser("roc", help="operating curves for single, double, and resolved detectors")
     roc.add_argument("--grid", default="0:30:31", help="threshold grid as lo:hi:n")
-    roc.add_argument("--lambda-low", type=float, default=12.0, help="reference band lower level")
-    roc.add_argument("--lambda-high", type=float, default=18.0, help="reference band upper level")
+    roc.add_argument(
+        "--lambda-low", type=float, default=12.0,
+        help="reference band lower level; only --lambda-high minus it is used, as each grid point's band width",
+    )
+    roc.add_argument(
+        "--lambda-high", type=float, default=18.0,
+        help="reference band upper level; only it minus --lambda-low is used, as each grid point's band width",
+    )
     roc.add_argument("--max-iter", type=int, default=4, help="bisection depth for the resolved detector")
     roc.add_argument("--out", required=True, help="output CSV base path; one file per variant")
     _add_sensing_flags(roc)

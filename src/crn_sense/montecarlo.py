@@ -9,10 +9,11 @@ tile by tile, and tiles of rows, like chunks, only choose how its
 stream is transformed: each tile reads its uniforms through cursors
 that start at fixed counter offsets of the block's stream, so a tile
 sees exactly the draws a whole-block read would give its rows. A
-process keeps up to _MEMO_BYTES (32 MiB) of full blocks' statistics,
-keyed by (seed, params, model, mode, hypothesis, block index), and a
-repeat call copies them instead of drawing again; a block depends on
-its index alone, so this changes time, never a bit.
+process keeps up to _MEMO_BYTES (32 MiB) of blocks' statistics in a
+least-recently-used cache keyed by (seed, params, model, mode,
+hypothesis, block index, rows), a partial last block under its own
+size, and a repeat call copies them instead of drawing again; a block
+depends on its key alone, so this changes time, never a bit.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -26,11 +27,10 @@ family without CLT error.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import os
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -72,12 +72,9 @@ _PURPOSE_SHIFT = 48  # block index lives in the low 48 bits of the stream id
 # a worker holds one tile of either model, so this caps a block's time
 # only, which grows with its normals
 _MAX_BLOCK_NORMALS = 2**23
-# full blocks' statistics already drawn in this process, oldest first;
-# read-only arrays, evicted FIFO past _MEMO_BYTES, touched under the lock
+# _block keeps at most this many bytes of statistics, one block's
+# 8 KiB or less an entry, evicting the least recently used
 _MEMO_BYTES = 32 * 2**20
-_BLOCK_BYTES = BLOCK_TRIALS * np.dtype(np.float64).itemsize
-_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_memo_lock = threading.Lock()
 
 
 class GenerativeModel(enum.Enum):
@@ -187,62 +184,66 @@ def _hypothesis_purpose(truth: Hypothesis) -> int:
     return 0 if truth is Hypothesis.H0 else 1
 
 
-def _fill_blocks(
-    out: np.ndarray,
-    config: TrialConfig,
+@functools.lru_cache(maxsize=_MEMO_BYTES // (BLOCK_TRIALS * 8))
+def _block(
+    seed: int,
+    params: SensingParams,
+    model: GenerativeModel,
+    mode: SignalMode,
     truth: Hypothesis,
-    block_indices: Sequence[int],
-) -> None:
-    params = config.params
+    index: int,
+    rows: int,
+) -> np.ndarray:
+    """Read-only statistics of the first `rows` trials of block `index`."""
     purpose = _hypothesis_purpose(truth)
-    chisq = config.model is GenerativeModel.CHISQ
+    chisq = model is GenerativeModel.CHISQ
     # a row is one window of M samples, or the chi-square model's 2u dimensions
     m = 2 * params.time_bandwidth if chisq else params.num_samples
     pairs = BLOCK_TRIALS * m // 2
     # an even row count keeps every tile on a Box-Muller pair boundary
     tile_rows = 2 * max(1, 2**15 // m)
-    for index in block_indices:
-        start = index * BLOCK_TRIALS
-        rows = min(BLOCK_TRIALS, out.size - start)
-        stream = (purpose << _PURPOSE_SHIFT) | index
-        # cursors into the block's one stream, at the pairs' first
-        # uniforms, their second ones, and a sample window's signal,
-        # which follow all of the noise's; pairs is a multiple of 4
-        # (m·512), a whole counter
-        first = block_generator(config.seed, stream)
-        second = _generator_at(config.seed, stream, pairs)
-        if truth is Hypothesis.H1 and not chisq:
-            signal = _generator_at(config.seed, stream, 2 * pairs)
-        for r0 in range(0, rows, tile_rows):
-            r1 = min(r0 + tile_rows, rows)
-            p0, p1 = r0 * m // 2, -(-r1 * m // 2)
-            window = _box_muller(first.random(p1 - p0), second.random(p1 - p0))
-            window = window[: (r1 - r0) * m].reshape(r1 - r0, m)
+    out = np.empty(rows)
+    stream = (purpose << _PURPOSE_SHIFT) | index
+    # cursors into the block's one stream, at the pairs' first
+    # uniforms, their second ones, and a sample window's signal,
+    # which follow all of the noise's; pairs is a multiple of 4
+    # (m·512), a whole counter
+    first = block_generator(seed, stream)
+    second = _generator_at(seed, stream, pairs)
+    if truth is Hypothesis.H1 and not chisq:
+        signal = _generator_at(seed, stream, 2 * pairs)
+    for r0 in range(0, rows, tile_rows):
+        r1 = min(r0 + tile_rows, rows)
+        p0, p1 = r0 * m // 2, -(-r1 * m // 2)
+        window = _box_muller(first.random(p1 - p0), second.random(p1 - p0))
+        window = window[: (r1 - r0) * m].reshape(r1 - r0, m)
+        if chisq:
+            if truth is Hypothesis.H1:
+                window[:, 0] += math.sqrt(2.0 * params.snr_linear)
+        else:
+            window *= math.sqrt(params.noise_variance)
+            if truth is Hypothesis.H1:
+                window += bpsk_matrix(params, signal, mode, r1 - r0)
+        # a statistic past the largest double is above every finite
+        # threshold, so the inf it overflows to gives the right verdict
+        with np.errstate(over="ignore"):
+            np.square(window, out=window)
+            tile = out[r0:r1]
             if chisq:
-                if truth is Hypothesis.H1:
-                    window[:, 0] += math.sqrt(2.0 * params.snr_linear)
+                np.multiply(params.noise_variance, np.sum(window, axis=1), out=tile)
             else:
-                window *= math.sqrt(params.noise_variance)
-                if truth is Hypothesis.H1:
-                    window += bpsk_matrix(params, signal, config.mode, r1 - r0)
-            # a statistic past the largest double is above every finite
-            # threshold, so the inf it overflows to gives the right verdict
-            with np.errstate(over="ignore"):
-                np.square(window, out=window)
-                tile = out[start + r0 : start + r1]
-                if chisq:
-                    np.multiply(params.noise_variance, np.sum(window, axis=1), out=tile)
-                else:
-                    np.mean(window, axis=1, out=tile)
+                np.mean(window, axis=1, out=tile)
+    out.flags.writeable = False
+    return out
 
 
 def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None) -> np.ndarray:
     """Decision statistics for `count` trials under `truth`.
 
     The first k trials of any run are a prefix of a longer run with
-    the same config, because blocks are keyed by index alone. So full
-    blocks already drawn in this process are copied from the memo,
-    and only the others are filled.
+    the same config, because blocks are keyed by index alone. Each
+    block comes from the cached `_block`, so a block already drawn in
+    this process is copied, not drawn again.
     """
     if count is None:
         count = config.num_trials
@@ -262,38 +263,21 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
     out = np.empty(count)
     num_blocks = -(-count // BLOCK_TRIALS)
     key = (config.seed, config.params, config.model, config.mode, truth)
-    with _memo_lock:
-        held = [_memo.get(key + (index,)) for index in range(num_blocks)]
-    missing = []
-    for index, block in enumerate(held):
-        if block is None:
-            missing.append(index)
-        else:  # a shorter run's partial last block is a full block's head
-            start = index * BLOCK_TRIALS
-            out[start : start + BLOCK_TRIALS] = block[: count - start]
-    if missing and (config.parallel_chunks == 1 or len(missing) == 1):
-        _fill_blocks(out, config, truth, missing)
-    elif missing:
-        # one task per worker, and at most one worker per CPU
-        workers = min(config.parallel_chunks, len(missing), os.cpu_count() or 1)
-        per_worker = -(-len(missing) // workers)
-        shares = [missing[w * per_worker : (w + 1) * per_worker] for w in range(workers)]
+
+    def copy(index: int) -> None:
+        start = index * BLOCK_TRIALS
+        rows = min(BLOCK_TRIALS, count - start)
+        out[start : start + rows] = _block(*key, index, rows)
+
+    # one task per block, and at most one worker per CPU
+    workers = min(config.parallel_chunks, num_blocks, os.cpu_count() or 1)
+    if workers == 1:
+        for index in range(num_blocks):
+            copy(index)
+    else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fill_blocks, out, config, truth, share) for share in shares if share]
-            for future in futures:
+            for future in [pool.submit(copy, index) for index in range(num_blocks)]:
                 future.result()
-    # a partial last block is never stored: a 1-row request stays cheap;
-    # of the full ones, only those FIFO eviction would keep are copied
-    full = [index for index in missing if (index + 1) * BLOCK_TRIALS <= count]
-    full = full[max(0, len(full) - _MEMO_BYTES // _BLOCK_BYTES) :]
-    blocks = [out[i * BLOCK_TRIALS : (i + 1) * BLOCK_TRIALS].copy() for i in full]
-    for block in blocks:
-        block.flags.writeable = False
-    with _memo_lock:
-        for index, block in zip(full, blocks):
-            _memo[key + (index,)] = block
-        while len(_memo) * _BLOCK_BYTES > _MEMO_BYTES:
-            _memo.popitem(last=False)
     return out
 
 

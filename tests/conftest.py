@@ -1,4 +1,4 @@
-"""Shared acceptance reporting, and a cold Monte Carlo block memo per test.
+"""Shared acceptance reporting, and a cold Monte Carlo block cache per test.
 
 test_acceptance registers one line per criterion before asserting,
 so the summary below a run shows every criterion's verdict and what
@@ -19,17 +19,11 @@ def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
 
 
-def clear_block_memo() -> None:
-    """Forget every Monte Carlo block drawn so far, so the next draw fills
-    its blocks afresh instead of copying them from the memo."""
-    montecarlo._memo.clear()
-
-
 @pytest.fixture(autouse=True)
-def _cold_block_memo():
+def _cold_block_cache():
     # a test that counts pool tasks or drawn blocks must not find an
     # earlier test's blocks already drawn
-    clear_block_memo()
+    montecarlo._block.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -17,8 +17,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from crn_sense import montecarlo
 from crn_sense.analytic import (
+    bisection_resolved_rates,
     double_threshold_report,
     pd_gaussian,
     pd_marcum,
@@ -42,8 +45,8 @@ from crn_sense.reference_tables import (
 )
 from crn_sense.specfun import gaussian_q, marcum_q, reg_upper_gamma
 
-from conftest import clear_block_memo, record_acceptance
-from oracles import finite_sum_oracle, marcum_quad_oracle, sample_energy_sf_oracle
+from conftest import record_acceptance
+from oracles import finite_sum_oracle, marcum_quad_oracle, noncentral_chi2_sf_oracle, sample_energy_sf_oracle
 
 SNR = 10.0 ** (-1.4)
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -395,7 +398,7 @@ def test_criterion_8_determinism_and_goldens(tmp_path, capsys):
     serial = str(tmp_path / "serial.csv")
     threaded = str(tmp_path / "threaded.csv")
     assert main(args + ["--out", serial, "--chunks", "1"]) == 0
-    clear_block_memo()
+    montecarlo._block.cache_clear()
     assert main(args + ["--out", threaded, "--chunks", "4"]) == 0
     for suffix in ("single", "double", "optimum"):
         with open(str(tmp_path / f"serial_{suffix}.csv"), encoding="utf-8") as fh:
@@ -425,4 +428,38 @@ def test_criterion_8_determinism_and_goldens(tmp_path, capsys):
     if problems:
         detail = "; ".join(problems)
     record_acceptance(f"ACCEPTANCE 8: {'PASS' if ok else 'FAIL'} - {detail}")
+    assert ok, detail
+
+
+def test_criterion_9_matched_false_alarm_audit():
+    """At its own pf, the resolved detector never beats one threshold.
+
+    The chi-square family has a monotone likelihood ratio in the
+    energy, so by Karlin-Rubin the single threshold set to the
+    resolved detector's pf is the most powerful test at that pf. At
+    depth 1 the resolved detector is that threshold (the band's
+    midpoint); every deeper bisection loses detection to it.
+    """
+    u = 5
+    start = time.perf_counter()
+    worst_depth1 = 0.0
+    worst_deeper = math.inf
+    for row in COLLISION_ROWS:
+        pair = ThresholdPair(row.lambda_low, row.lambda_high)
+        for depth in range(1, 13):
+            pf, pd = bisection_resolved_rates(pair, SNR, u, BisectionConfig(max_iter=depth))
+            single = noncentral_chi2_sf_oracle(float(chi2.isf(pf, 2 * u)), 2 * u, 2.0 * SNR)
+            margin = single - pd
+            if depth == 1:
+                worst_depth1 = max(worst_depth1, abs(margin))
+            else:
+                worst_deeper = min(worst_deeper, margin)
+    elapsed = time.perf_counter() - start
+    ok = worst_depth1 <= 1e-12 and worst_deeper > 1e-4
+    detail = (
+        f"single threshold at the resolved pf minus resolved pd, 8 table-5 bands: depth 1 worst "
+        f"|margin| {worst_depth1:.1e} (<=1e-12); depths 2-12 worst margin {worst_deeper:.2e} (>1e-4); "
+        f"{elapsed:.1f}s"
+    )
+    record_acceptance(f"ACCEPTANCE 9: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail

@@ -27,8 +27,6 @@ from crn_sense.cli import build_parser, main
 from crn_sense.detector import ThresholdPair
 from crn_sense.montecarlo import TrialConfig
 
-from conftest import clear_block_memo
-
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -193,7 +191,7 @@ class TestRoc:
         serial = str(tmp_path / "serial.csv")
         threaded = str(tmp_path / "threaded.csv")
         main(self.ARGS + ["--out", serial, "--chunks", "1"])
-        clear_block_memo()
+        montecarlo._block.cache_clear()
         main(self.ARGS + ["--out", threaded, "--chunks", "4"])
         for suffix in ("single", "double", "optimum"):
             a = read(str(tmp_path / f"serial_{suffix}.csv"))
@@ -215,6 +213,13 @@ class TestRoc:
         double = {float(r["lambda"]): r for r in rows_of(str(tmp_path / "curve_double.csv"))}
         assert double[12.0]["pf_emp"] == single[18.0]["pf_emp"]
         assert double[12.0]["pd_emp"] == single[18.0]["pd_emp"]
+
+    def test_only_the_band_width_is_used(self, tmp_path):
+        # each grid point lambda gets the band (lambda, lambda + width)
+        main(self.ARGS + ["--out", str(tmp_path / "a.csv"), "--lambda-low", "12", "--lambda-high", "18"])
+        main(self.ARGS + ["--out", str(tmp_path / "b.csv"), "--lambda-low", "0", "--lambda-high", "6"])
+        for suffix in ("single", "double", "optimum"):
+            assert (tmp_path / f"a_{suffix}.csv").read_bytes() == (tmp_path / f"b_{suffix}.csv").read_bytes(), suffix
 
 
 class TestCollision:
@@ -368,7 +373,7 @@ class TestExitCodes:
         def no_fill(*args, **kwargs):
             raise AssertionError("block filled before the failure")
 
-        monkeypatch.setattr(montecarlo, "_fill_blocks", no_fill)
+        monkeypatch.setattr(montecarlo, "_block", no_fill)
         out = str(tmp_path / "r.csv")
         assert main(["roc", "--model", "chisq", "--u", "1000000", "--trials", "2000", "--out", out]) == 2
         err = capsys.readouterr().err

@@ -4,6 +4,8 @@ Each command runs with one numeric flag at a time set to 0, -1, nan,
 +-inf, 1e-320, 1e308 and one step past each documented bound. Integer
 flags parse integers only, so their non-integer values must be usage
 errors (exit 2); they also get a huge integer where one is bounded.
+The string flags with numeric fields, roc --grid and collision --pair,
+also get those edges field by field, and malformed field lists.
 Every run must end in exit 0, exit 2, or exit 1 with a numeric or
 memory failure: no traceback, and no warning (pytest turns warnings
 into errors, so one would fail the run as an exception would).
@@ -34,7 +36,9 @@ COMMANDS = {
     ),
     "roc": (
         ["roc", "--grid", "10:20:3", "--trials", "10"],
-        {"--lambda-low": ["18.5"], "--lambda-high": ["11.5"], "--max-iter": ["51", HUGE_INTEGER],
+        {"--grid": ["nan:1:3", "0:inf:3", "1:0:3", "0:1:0", "0:1:1e3", "-1:1:3", "0:1e308:3",
+                    "0:1.7976931348623157e308:2", "1e-320:2e-320:2", "a:b:c", "0:1:3:4"],
+         "--lambda-low": ["18.5"], "--lambda-high": ["11.5"], "--max-iter": ["51", HUGE_INTEGER],
          "--snr-db": ["28.6", "3083"], "--u": ["1000001", HUGE_INTEGER], "--samples": ["8193", HUGE_INTEGER],
          "--noise-var": [], "--trials": [HUGE_INTEGER], "--seed": [HUGE_INTEGER], "--chunks": [HUGE_INTEGER]},
     ),
@@ -45,7 +49,8 @@ COMMANDS = {
     ),
     "collision": (
         ["collision", "--pair", "12:18", "--energy", "14", "--trials", "10"],
-        {"--energy": ["11.5", "18.5"], "--max-iter": ["2100", HUGE_INTEGER], "--snr-db": ["28.6", "3083"],
+        {"--pair": ["nan:1", "1:0", "0:inf", "-1:1", "0:1e308", "1e-320:2e-320", "1:2:3"],
+         "--energy": ["11.5", "18.5"], "--max-iter": ["2100", HUGE_INTEGER], "--snr-db": ["28.6", "3083"],
          "--u": ["1000001", HUGE_INTEGER], "--samples": ["8193", HUGE_INTEGER], "--noise-var": [],
          "--trials": ["1", HUGE_INTEGER], "--seed": [HUGE_INTEGER], "--chunks": [HUGE_INTEGER]},
     ),

@@ -10,6 +10,7 @@ here too so the pins can never drift away from the physics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -50,8 +51,6 @@ from crn_sense.montecarlo import (
     roc_empirical,
 )
 from crn_sense.signal_model import Hypothesis, SensingParams, SignalMode, block_generator, bpsk_matrix
-
-from conftest import clear_block_memo
 
 SNR = 10.0 ** (-1.4)
 
@@ -117,7 +116,7 @@ class TestDeterminism:
     def test_same_config_same_counts(self):
         config = TrialConfig(num_trials=3000, seed=42, model=GenerativeModel.CHISQ)
         a = estimate_single(10.0, config, Hypothesis.H0)
-        clear_block_memo()
+        montecarlo._block.cache_clear()
         b = estimate_single(10.0, config, Hypothesis.H0)
         assert a == b
 
@@ -128,14 +127,15 @@ class TestDeterminism:
         threaded = TrialConfig(**base, parallel_chunks=4)
         for truth in (Hypothesis.H0, Hypothesis.H1):
             a = _statistics(serial, truth)
-            clear_block_memo()
+            montecarlo._block.cache_clear()
             b = _statistics(threaded, truth)
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, cpus, workers):
         # a stand-in pool records its size and runs each task inline,
-        # so no thread is started whatever parallel_chunks asks for
+        # so no thread is started whatever parallel_chunks asks for;
+        # one allowed worker runs serially, with no pool at all
         sizes, tasks = [], []
 
         class InlinePool:
@@ -158,16 +158,18 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         base = dict(num_trials=10 * BLOCK_TRIALS + 17, seed=9, model=GenerativeModel.CHISQ)
         pooled = _statistics(TrialConfig(**base, parallel_chunks=10000), Hypothesis.H0)
-        assert sizes == [workers] and len(tasks) == workers
-        assert sorted(block for blocks in tasks for block in blocks) == list(range(11))
-        clear_block_memo()
+        if workers == 1:
+            assert sizes == [] and tasks == []
+        else:  # one task per block
+            assert sizes == [workers] and sorted(tasks) == list(range(11))
+        montecarlo._block.cache_clear()
         assert np.array_equal(pooled, _statistics(TrialConfig(**base), Hypothesis.H0))
 
     def test_prefix_property(self):
         # first k trials of a longer run equal a k-trial run outright
         short = TrialConfig(num_trials=1000, seed=13, model=GenerativeModel.CHISQ)
         stats_short = _statistics(short, Hypothesis.H1)
-        clear_block_memo()
+        montecarlo._block.cache_clear()
         stats_long = _statistics(short, Hypothesis.H1, 2500)
         assert np.array_equal(stats_long[:1000], stats_short)
 
@@ -177,7 +179,12 @@ class TestDeterminism:
     )
     def test_block_of_more_than_2_23_normals_is_refused(self, model, field, largest, monkeypatch):
         filled = []
-        monkeypatch.setattr(montecarlo, "_fill_blocks", lambda out, *args: filled.append(out.size))
+
+        def block(*key):
+            filled.append(key[-1])
+            return np.zeros(key[-1])
+
+        monkeypatch.setattr(montecarlo, "_block", block)
         config = TrialConfig(num_trials=10, seed=1, model=model, params=SensingParams(**{field: largest}))
         _statistics(config, Hypothesis.H1)
         assert filled == [10]
@@ -208,13 +215,13 @@ def drawn(monkeypatch):
 
 
 class TestBlockMemo:
-    """A repeat draw copies full blocks from the memo; only time may differ."""
+    """A repeat draw copies blocks from the cached `_block`; only time may differ."""
 
     @pytest.mark.parametrize("model", list(GenerativeModel))
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_warm_memo_gives_cold_bytes(self, drawn, model, chunks):
-        # 3 full blocks and a 100-row one; 1025 and 2048 trials end on
-        # blocks that the longer run stored in full
+        # 3 full blocks and a 100-row one; 1025 trials end on a 1-row
+        # block, 2048 on two blocks the longer run cached in full
         config = TrialConfig(
             num_trials=3 * BLOCK_TRIALS + 100, seed=31, model=model,
             params=SensingParams(num_samples=16), parallel_chunks=chunks,
@@ -224,16 +231,17 @@ class TestBlockMemo:
             purpose = 0 if truth is Hypothesis.H0 else 1
             cold = {}
             for count in counts:
-                clear_block_memo()
+                montecarlo._block.cache_clear()
                 cold[count] = _statistics(config, truth, count).tobytes()
-            clear_block_memo()
+            montecarlo._block.cache_clear()
             drawn.clear()
             for count in counts:
                 assert _statistics(config, truth, count).tobytes() == cold[count], (truth, count)
-            assert sorted(drawn) == [(purpose, index) for index in range(4)]
+            # each (index, rows) drawn once: block 1 in full and as 1 row
+            assert Counter(drawn) == {(purpose, 0): 1, (purpose, 1): 2, (purpose, 2): 1, (purpose, 3): 1}
             drawn.clear()
             assert _statistics(config, truth).tobytes() == cold[config.num_trials]
-            assert drawn == [(purpose, 3)]  # the partial block, filled again
+            assert drawn == []  # the 100-row block was cached too
 
     def test_returned_arrays_belong_to_the_caller(self):
         config = TrialConfig(num_trials=2 * BLOCK_TRIALS, seed=3, model=GenerativeModel.CHISQ)
@@ -242,54 +250,61 @@ class TestBlockMemo:
         h0[:] = -1.0
         h1[:] = np.inf
         assert tuple(a.tobytes() for a in draw_statistics(config)) == want
-        assert all(not block.flags.writeable for block in montecarlo._memo.values())
+        assert montecarlo._block.cache_info().hits == 4
+        for truth, index in itertools.product(Hypothesis, range(2)):
+            block = montecarlo._block(config.seed, config.params, config.model, config.mode, truth, index, BLOCK_TRIALS)
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0.0
 
-    def test_partial_block_is_filled_but_never_stored(self, drawn):
+    def test_partial_block_is_cached_under_its_size(self, drawn):
         config = TrialConfig(num_trials=BLOCK_TRIALS + 5, seed=8, model=GenerativeModel.CHISQ)
-        _statistics(config, Hypothesis.H1)
-        assert [key[-1] for key in montecarlo._memo] == [0]
-        _statistics(config, Hypothesis.H1)
+        stats = _statistics(config, Hypothesis.H1)
+        assert _statistics(config, Hypothesis.H1).tobytes() == stats.tobytes()
+        assert drawn == [(1, 0), (1, 1)]
+        # a longer run draws block 1 in full; the 5-row block is its head
+        longer = _statistics(config, Hypothesis.H1, 2 * BLOCK_TRIALS)
         assert drawn == [(1, 0), (1, 1), (1, 1)]
-        # one row at the block bound fills one row and keeps nothing
-        clear_block_memo()
+        assert longer[: config.num_trials].tobytes() == stats.tobytes()
+        # one row at the block bound fills one row, and caches 8 bytes
+        montecarlo._block.cache_clear()
         wide = TrialConfig(num_trials=1, seed=8, params=SensingParams(num_samples=8192))
         assert _statistics(wide, Hypothesis.H0).shape == (1,)
-        assert not montecarlo._memo
+        assert montecarlo._block(wide.seed, wide.params, wide.model, wide.mode, Hypothesis.H0, 0, 1).nbytes == 8
+        assert montecarlo._block.cache_info().hits == 1
 
-    def test_eviction_is_fifo_within_the_bound(self, drawn, monkeypatch):
-        config = TrialConfig(num_trials=5 * BLOCK_TRIALS, seed=12, model=GenerativeModel.CHISQ, parallel_chunks=2)
+    def test_eviction_is_lru_within_the_bound(self, drawn, monkeypatch):
+        # the real cache: 4,096 entries of at most 8 KiB, 32 MiB
+        assert montecarlo._block.cache_parameters() == {"maxsize": 4096, "typed": False}
+        config = TrialConfig(num_trials=3 * BLOCK_TRIALS, seed=12, model=GenerativeModel.CHISQ)
         cold = _statistics(config, Hypothesis.H0).tobytes()
-        clear_block_memo()
-        bound = 3 * montecarlo._BLOCK_BYTES
-        monkeypatch.setattr(montecarlo, "_MEMO_BYTES", bound)
+        cache = functools.lru_cache(maxsize=3)(montecarlo._block.__wrapped__)
+        monkeypatch.setattr(montecarlo, "_block", cache)
 
-        def held():
-            assert sum(block.nbytes for block in montecarlo._memo.values()) <= bound
-            return [key[-1] for key in montecarlo._memo]
+        def draw(count):
+            """Indices of the blocks a `count`-trial draw had to draw."""
+            drawn.clear()
+            assert _statistics(config, Hypothesis.H0, count).tobytes() == cold[: 8 * count]
+            assert cache.cache_info().currsize <= 3
+            return [index for _, index in drawn]
 
-        drawn.clear()
-        assert _statistics(config, Hypothesis.H0).tobytes() == cold
-        assert held() == [2, 3, 4]
-        # blocks 0 and 1 were evicted, so they are drawn again, by the
-        # pool, and push out the two oldest
-        drawn.clear()
-        assert _statistics(config, Hypothesis.H0, 3 * BLOCK_TRIALS).tobytes() == cold[: 3 * 8 * BLOCK_TRIALS]
-        assert sorted(drawn) == [(0, 0), (0, 1)]
-        assert held() == [4, 0, 1]
-        drawn.clear()
-        assert _statistics(config, Hypothesis.H0).tobytes() == cold
-        assert sorted(drawn) == [(0, 2), (0, 3)]
-        assert held() == [1, 2, 3]
+        # the comments list the cache, least recently used first
+        assert draw(3 * BLOCK_TRIALS) == [0, 1, 2]  # 0 1 2
+        assert draw(BLOCK_TRIALS) == []  # 1 2 0
+        # block 1's first 6 rows push out block 1, the least recently
+        # used; FIFO would have pushed out block 0, the oldest
+        assert draw(BLOCK_TRIALS + 6) == [1]  # 2 0 1'
+        assert draw(2 * BLOCK_TRIALS) == [1]  # 1' 0 1
+        assert draw(3 * BLOCK_TRIALS) == [2]  # 0 1 2
 
     def test_user_threads_get_the_same_rates(self, monkeypatch):
-        # more threads than cores, switching often, on a memo too small
-        # for the config's 8 full blocks, so lookups, stores and
-        # evictions of the threads interleave
+        # more threads than cores, switching often, on a cache too small
+        # for the config's 9 blocks, so the threads' lookups, stores
+        # and evictions interleave
         config = TrialConfig(num_trials=8 * BLOCK_TRIALS + 7, seed=23, model=GenerativeModel.CHISQ)
         stats = _statistics(config, Hypothesis.H1)
         cold = estimate_single(12.0, config, Hypothesis.H1)
-        clear_block_memo()
-        monkeypatch.setattr(montecarlo, "_MEMO_BYTES", 5 * montecarlo._BLOCK_BYTES)
+        cache = functools.lru_cache(maxsize=5)(montecarlo._block.__wrapped__)
+        monkeypatch.setattr(montecarlo, "_block", cache)
         barrier = threading.Barrier(4)
 
         def rates(_):
@@ -305,10 +320,15 @@ class TestBlockMemo:
         finally:
             sys.setswitchinterval(interval)
         assert got == [[cold] * 3] * 4
-        assert 0 < len(montecarlo._memo) <= 5
-        for key, block in montecarlo._memo.items():
-            index = key[-1]
-            assert block.tobytes() == stats[index * BLOCK_TRIALS : (index + 1) * BLOCK_TRIALS].tobytes()
+        assert 0 < cache.cache_info().currsize <= 5
+        # every thread used block 8 last, so the newest first are hits
+        hits = cache.cache_info().hits
+        for index in reversed(range(9)):
+            start = index * BLOCK_TRIALS
+            rows = min(BLOCK_TRIALS, config.num_trials - start)
+            block = cache(config.seed, config.params, config.model, config.mode, Hypothesis.H1, index, rows)
+            assert block.tobytes() == stats[start : start + rows].tobytes(), index
+        assert cache.cache_info().hits > hits
 
     def test_library_calls_draw_each_full_block_once(self, drawn):
         # the calls a demo makes on one config, each asking for its
@@ -322,12 +342,11 @@ class TestBlockMemo:
             estimate_double(pair, config, resolver=resolver)
         collision_sweep([pair, ThresholdPair(8.0, 20.0)], [14.5], config)
         roc_empirical([float(k) for k in range(31)], config)
-        counts = Counter(drawn)
-        assert {block: counts[block] for block in counts if block[1] < 6} == {
-            (purpose, index): 1 for purpose in (0, 1) for index in range(6)
+        # each (index, rows) once: block 3 in full, and as the 100-row
+        # last block of the calls that split the trials in halves
+        assert Counter(drawn) == {
+            (purpose, index): 1 + (index == 3) for purpose in (0, 1) for index in range(7)
         }
-        # only the 200-row block is filled by every full-length call
-        assert counts[(0, 6)] == counts[(1, 6)] == 4
 
 
 def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int) -> np.ndarray:
@@ -387,7 +406,7 @@ class TestTiledSampleFill:
         want = whole_block_statistics(config, truth, max(counts))
         for count in counts:
             for chunks in (1, 2) if count > BLOCK_TRIALS else (1,):
-                clear_block_memo()
+                montecarlo._block.cache_clear()
                 got = _statistics(replace(config, parallel_chunks=chunks), truth, count)
                 assert got.tobytes() == want[:count].tobytes(), (model, m, variance, snr_db, mode, truth, count, chunks)
 
@@ -422,11 +441,9 @@ class TestTiledSampleFill:
     @staticmethod
     def block_peak(params, mode=SignalMode.BASEBAND_BPSK, model=GenerativeModel.SAMPLE):
         """tracemalloc peak of filling one 1024-trial H1 block."""
-        config = TrialConfig(num_trials=BLOCK_TRIALS, seed=5, params=params, mode=mode, model=model)
-        out = np.empty(BLOCK_TRIALS)
         tracemalloc.start()
         try:
-            montecarlo._fill_blocks(out, config, Hypothesis.H1, range(1))
+            montecarlo._block.__wrapped__(5, params, model, mode, Hypothesis.H1, 0, BLOCK_TRIALS)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -699,7 +716,7 @@ class TestRocEmpirical:
     def test_deterministic(self):
         grid = [6.0, 12.0, 18.0]
         first = roc_empirical(grid, self.CONFIG)
-        clear_block_memo()
+        montecarlo._block.cache_clear()
         assert roc_empirical(grid, self.CONFIG) == first
 
     def test_single_point_grid(self):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from crn_sense import montecarlo
 from crn_sense.montecarlo import TrialConfig, _statistics
 from crn_sense.signal_model import (
     CYCLES_PER_BIT,
@@ -21,8 +22,6 @@ from crn_sense.signal_model import (
     bpsk_matrix,
     snr_db_to_linear,
 )
-
-from conftest import clear_block_memo
 
 
 def box_muller(seed: int, pairs: int, stream: int = 0) -> np.ndarray:
@@ -87,7 +86,7 @@ class TestGenerators:
         assert a.shape == (4,)
         config = TrialConfig(num_trials=3, seed=7, params=SensingParams(num_samples=4))
         first = _statistics(config, Hypothesis.H0)
-        clear_block_memo()
+        montecarlo._block.cache_clear()
         assert np.array_equal(first, _statistics(config, Hypothesis.H0))
 
     def test_distinct_seeds_and_streams_differ(self):
