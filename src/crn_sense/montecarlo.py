@@ -8,12 +8,17 @@ for any parallel_chunks value, including 1. Both models read a block
 tile by tile, and tiles of rows, like chunks, only choose how its
 stream is transformed: each tile reads its uniforms through cursors
 that start at fixed counter offsets of the block's stream, so a tile
-sees exactly the draws a whole-block read would give its rows. A
-process keeps up to _MEMO_BYTES (32 MiB) of blocks' statistics in a
-least-recently-used cache keyed by (seed, params, model, mode,
-hypothesis, block index, rows), a partial last block under its own
-size, and a repeat call copies them instead of drawing again; a block
-depends on its key alone, so this changes time, never a bit.
+sees exactly the draws a whole-block read would give its rows. An
+idle row of whole Box-Muller pairs (every chisq row, and a sample
+window of even M) is a sum of the pairs' squared norms, r² =
+-2·log1p(-u1) whatever the angle, so it reads only the pairs' first
+uniforms and leaves the rest unread; odd-M and H1 rows square every
+normal. A process keeps up to _MEMO_BYTES (32 MiB) of blocks'
+statistics in a least-recently-used cache keyed by (seed, params,
+model, mode, hypothesis, block index, rows), a partial last block
+under its own size, and a repeat call copies them instead of drawing
+again; a block depends on its key alone, so this changes time, never
+a bit.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -204,35 +209,55 @@ def _block(
     tile_rows = 2 * max(1, 2**15 // m)
     out = np.empty(rows)
     stream = (purpose << _PURPOSE_SHIFT) | index
+    # an idle row of whole pairs is a sum of the pairs' squared norms,
+    # r² = -2·log1p(-u1) whatever the angle, so it needs no second
+    # uniforms, no cos or sin; a signal's cross term needs every normal
+    radii_only = truth is Hypothesis.H0 and m % 2 == 0
     # cursors into the block's one stream, at the pairs' first
     # uniforms, their second ones, and a sample window's signal,
     # which follow all of the noise's; pairs is a multiple of 4
     # (m·512), a whole counter
     first = block_generator(seed, stream)
-    second = _generator_at(seed, stream, pairs)
+    if not radii_only:
+        second = _generator_at(seed, stream, pairs)
     if truth is Hypothesis.H1 and not chisq:
         signal = _generator_at(seed, stream, 2 * pairs)
-    for r0 in range(0, rows, tile_rows):
-        r1 = min(r0 + tile_rows, rows)
-        p0, p1 = r0 * m // 2, -(-r1 * m // 2)
-        window = _box_muller(first.random(p1 - p0), second.random(p1 - p0))
-        window = window[: (r1 - r0) * m].reshape(r1 - r0, m)
-        if chisq:
-            if truth is Hypothesis.H1:
-                window[:, 0] += math.sqrt(2.0 * params.snr_linear)
-        else:
-            window *= math.sqrt(params.noise_variance)
-            if truth is Hypothesis.H1:
-                window += bpsk_matrix(params, signal, mode, r1 - r0)
-        # a statistic past the largest double is above every finite
-        # threshold, so the inf it overflows to gives the right verdict
-        with np.errstate(over="ignore"):
-            np.square(window, out=window)
+    # overflow is silent: a statistic past the largest double reads inf,
+    # above every finite threshold, its right verdict; a sample window
+    # whose sum alone overflows is averaged again below
+    with np.errstate(over="ignore"):
+        for r0 in range(0, rows, tile_rows):
+            r1 = min(r0 + tile_rows, rows)
+            p0, p1 = r0 * m // 2, -(-r1 * m // 2)
             tile = out[r0:r1]
+            if radii_only:
+                radii = -2.0 * np.log1p(-first.random(p1 - p0))
+                np.sum(radii.reshape(r1 - r0, m // 2), axis=1, out=tile)
+                # scaled last, so no step overflows unless the statistic does
+                if not chisq:
+                    tile /= m
+                tile *= params.noise_variance
+                continue
+            window = _box_muller(first.random(p1 - p0), second.random(p1 - p0))
+            window = window[: (r1 - r0) * m].reshape(r1 - r0, m)
+            if chisq:
+                if truth is Hypothesis.H1:
+                    window[:, 0] += math.sqrt(2.0 * params.snr_linear)
+            else:
+                window *= math.sqrt(params.noise_variance)
+                if truth is Hypothesis.H1:
+                    window += bpsk_matrix(params, signal, mode, r1 - r0)
+            np.square(window, out=window)
             if chisq:
                 np.multiply(params.noise_variance, np.sum(window, axis=1), out=tile)
             else:
                 np.mean(window, axis=1, out=tile)
+                # np.mean sums a row before it divides, so a row whose sum
+                # passes the largest double reads inf though its mean may
+                # not; those rows are averaged again, term by term
+                spilled = np.isinf(tile)
+                if spilled.any():
+                    tile[spilled] = np.sum(window[spilled] / m, axis=1)
     out.flags.writeable = False
     return out
 

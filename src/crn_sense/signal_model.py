@@ -5,8 +5,11 @@ The random number generator is pinned: Philox (a named, counter-based,
 variates produced by the Box-Muller transform. Box-Muller consumes a
 fixed number of uniforms per draw, so streams never drift between
 platforms or between sequential and parallel execution orders. Draw
-order alone fixes the bits: every pair's first uniform, then every
-second one, then an H1 window's BPSK uniforms, row by row.
+order fixes which uniform feeds which variate: every pair's first
+uniform, then every second one, then an H1 window's BPSK uniforms,
+row by row. A reader that needs only some of them, as an idle
+window's squared norms need only the pairs' first uniforms, leaves
+the others unread at their offsets.
 """
 
 from __future__ import annotations

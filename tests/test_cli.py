@@ -221,6 +221,20 @@ class TestRoc:
         for suffix in ("single", "double", "optimum"):
             assert (tmp_path / f"a_{suffix}.csv").read_bytes() == (tmp_path / f"b_{suffix}.csv").read_bytes(), suffix
 
+    def test_sample_window_sum_past_the_largest_double(self, tmp_path):
+        # a 1000-sample window's sum of squares passes the largest
+        # double at this noise variance, though its mean does not
+        out = str(tmp_path / "huge.csv")
+        args = [
+            "roc", "--model", "sample", "--noise-var", "1e306", "--grid", "0.9e306:1.1e306:3",
+            "--lambda-low", "0", "--lambda-high", "0", "--trials", "2048", "--seed", "1", "--out", out,
+        ]
+        assert main(args) == 0
+        for row in rows_of(str(tmp_path / "huge_single.csv")):
+            for rate in ("pf", "pd"):
+                emp, ci, analytic = (float(row[f"{rate}{column}"]) for column in ("_emp", "_ci", "_analytic"))
+                assert abs(emp - analytic) <= 4 * ci, (row["lambda"], rate, emp, analytic)
+
 
 class TestCollision:
     def test_published_bands(self, tmp_path):

@@ -349,12 +349,17 @@ class TestBlockMemo:
         }
 
 
-def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int) -> np.ndarray:
+def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int, radii: bool = True) -> np.ndarray:
     """The block fill as it was before tiling: every 1024-trial block
     drawn in order from one generator and transformed as one 1024 x m
     array (M samples, or the chisq model's 2u dimensions), the signal
     added over all 1024 rows, and then the head of the block kept. One
-    generator, so no counter offset is assumed."""
+    generator, so no counter offset is assumed.
+
+    An H0 row of whole pairs (m even) sums the pairs' squared norms
+    r² = -2·log1p(-u1), then divides by M (sample model), then scales
+    by the noise variance. With radii=False every row squares its
+    cos/sin normals instead, as the fill did before it used r²."""
     params = config.params
     chisq = config.model is GenerativeModel.CHISQ
     m = 2 * params.time_bandwidth if chisq else params.num_samples
@@ -367,6 +372,13 @@ def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int) -
         rng = block_generator(config.seed, (purpose << montecarlo._PURPOSE_SHIFT) | index)
         u1 = rng.random(pairs)
         u2 = rng.random(pairs)
+        if radii and truth is Hypothesis.H0 and m % 2 == 0:
+            r2 = -2.0 * np.log1p(-u1)
+            stats = np.sum(r2.reshape(BLOCK_TRIALS, m // 2)[:rows], axis=1)
+            if not chisq:
+                stats = stats / m
+            out[start : start + rows] = stats * params.noise_variance
+            continue
         radius = np.sqrt(-2.0 * np.log1p(-u1))
         angle = (2.0 * np.pi) * u2
         z = np.empty(2 * pairs)
@@ -438,12 +450,62 @@ class TestTiledSampleFill:
         for variance, snr_db, truth in cases:
             self.check(u, variance, snr_db, SignalMode.BASEBAND_BPSK, truth, self.COUNTS, GenerativeModel.CHISQ)
 
+    @pytest.mark.parametrize(
+        "model, field, widths",
+        [(GenerativeModel.SAMPLE, "num_samples", (2, 64, 1000, 8192)), (GenerativeModel.CHISQ, "time_bandwidth", (1, 5, 500))],
+    )
+    def test_idle_rows_stay_within_8_ulps_of_squared_normals(self, model, field, widths):
+        # r² and the squares of r·cos θ and r·sin θ differ by rounding alone
+        for width, variance in itertools.product(widths, (1.0, 2.5)):
+            params = SensingParams(**{field: width}, noise_variance=variance)
+            config = TrialConfig(num_trials=BLOCK_TRIALS, seed=1000 + width, params=params, model=model)
+            got = _statistics(config, Hypothesis.H0)
+            squares = whole_block_statistics(config, Hypothesis.H0, BLOCK_TRIALS, radii=False)
+            ulps = np.abs(got - squares) / np.spacing(squares)
+            assert ulps.max() <= 8.0, (model, width, variance, ulps.max())
+
+    @pytest.mark.parametrize(
+        "model, field, width, truth, offsets",
+        [
+            (GenerativeModel.SAMPLE, "num_samples", 64, Hypothesis.H0, []),
+            (GenerativeModel.CHISQ, "time_bandwidth", 5, Hypothesis.H0, []),
+            (GenerativeModel.SAMPLE, "num_samples", 63, Hypothesis.H0, [512 * 63]),
+            (GenerativeModel.SAMPLE, "num_samples", 64, Hypothesis.H1, [512 * 64, 1024 * 64]),
+            (GenerativeModel.CHISQ, "time_bandwidth", 5, Hypothesis.H1, [1024 * 5]),
+        ],
+    )
+    def test_cursor_budget(self, monkeypatch, model, field, width, truth, offsets):
+        # the cursors a block opens past draw 0: an idle row of whole
+        # pairs reads only its pairs' first uniforms
+        opened = []
+        original = montecarlo._generator_at
+
+        def recording(seed, stream, draw):
+            opened.append(draw)
+            return original(seed, stream, draw)
+
+        monkeypatch.setattr(montecarlo, "_generator_at", recording)
+        params = SensingParams(**{field: width})
+        montecarlo._block.__wrapped__(5, params, model, SignalMode.BASEBAND_BPSK, truth, 0, BLOCK_TRIALS)
+        assert opened == offsets
+
+    @pytest.mark.parametrize("truth", list(Hypothesis))
+    @pytest.mark.parametrize("m", [999, 1000])
+    def test_window_sum_past_the_largest_double(self, truth, m):
+        # at noise variance 1e306 a window's sum of squares overflows
+        # though its mean does not; the statistic still scales with it
+        config = TrialConfig(num_trials=BLOCK_TRIALS, seed=77, params=SensingParams(num_samples=m))
+        huge = replace(config, params=replace(config.params, noise_variance=1e306))
+        got = _statistics(huge, truth)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got / 1e306, _statistics(config, truth), rtol=1e-14)
+
     @staticmethod
-    def block_peak(params, mode=SignalMode.BASEBAND_BPSK, model=GenerativeModel.SAMPLE):
-        """tracemalloc peak of filling one 1024-trial H1 block."""
+    def block_peak(params, mode=SignalMode.BASEBAND_BPSK, model=GenerativeModel.SAMPLE, truth=Hypothesis.H1):
+        """tracemalloc peak of filling one 1024-trial block, H1 unless told otherwise."""
         tracemalloc.start()
         try:
-            montecarlo._block.__wrapped__(5, params, model, mode, Hypothesis.H1, 0, BLOCK_TRIALS)
+            montecarlo._block.__wrapped__(5, params, model, mode, truth, 0, BLOCK_TRIALS)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -465,6 +527,14 @@ class TestTiledSampleFill:
         # the block bound, u = 4096
         params = SensingParams(time_bandwidth=u)
         assert self.block_peak(params, model=GenerativeModel.CHISQ) < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [(GenerativeModel.SAMPLE, SensingParams(num_samples=8192)), (GenerativeModel.CHISQ, SensingParams(time_bandwidth=4096))],
+    )
+    def test_idle_block_working_set(self, model, params):
+        # an idle block reads one tile of radii at a time
+        assert self.block_peak(params, model=model, truth=Hypothesis.H0) < 4 * 2**20
 
 
 class TestEstimateSingle:
