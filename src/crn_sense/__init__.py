@@ -25,12 +25,8 @@ from .analytic import (
 from .detector import (
     BisectionConfig,
     BisectionResult,
-    Decision,
     ThresholdPair,
     bisection_optimum_threshold,
-    double_threshold_decide,
-    resolve_fuzzy,
-    single_threshold_decide,
 )
 from .montecarlo import (
     BLOCK_TRIALS,
@@ -69,7 +65,6 @@ __all__ = [
     "BisectionResult",
     "CollisionRow",
     "ConvergenceError",
-    "Decision",
     "DoubleThresholdReport",
     "EmpiricalReport",
     "GenerativeModel",
@@ -85,7 +80,6 @@ __all__ = [
     "bisection_resolved_rates",
     "collision_sweep",
     "count_band",
-    "double_threshold_decide",
     "double_threshold_report",
     "draw_statistics",
     "estimate_double",
@@ -98,11 +92,9 @@ __all__ = [
     "pf_gamma",
     "pf_gaussian",
     "reg_upper_gamma",
-    "resolve_fuzzy",
     "resolved_occupied_probability",
     "roc_analytic",
     "roc_empirical",
-    "single_threshold_decide",
     "snr_db_to_linear",
     "tails",
     "threshold_for_target_pf",

@@ -1,13 +1,18 @@
-"""Energy detection decision rules.
+"""Energy detection thresholds and the band bisection.
 
 Three detectors share the energy statistic T = (1/M) sum |y(n)|^2:
 
-* single threshold: compare T against one level;
-* double threshold: an inclusive fuzzy band [lambda_low, lambda_high]
-  where the detector abstains;
+* single threshold: Occupied iff T strictly exceeds one level;
+* double threshold: Idle below lambda_low, Occupied above lambda_high,
+  and Fuzzy, where the detector abstains, on the inclusive band
+  between them;
 * bisection-resolved double threshold: a fuzzy energy is resolved by
   bisecting the band toward the energy itself and comparing against
   the final midpoint.
+
+montecarlo.count_band applies these rules to an array of statistics
+and is the one place they are coded; this module holds the levels and
+the bisection.
 
 The bisection is deliberately a fixed-step procedure, not a root
 finder from a library: its output after max_iter halvings is part of
@@ -19,7 +24,6 @@ mid), which no product's underflow or overflow can flip.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from collections.abc import Iterator
@@ -28,14 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Decision",
     "ThresholdPair",
     "BisectionConfig",
     "BisectionResult",
-    "single_threshold_decide",
-    "double_threshold_decide",
     "bisection_optimum_threshold",
-    "resolve_fuzzy",
 ]
 
 
@@ -46,22 +46,13 @@ _MAX_DEPTH = 1024 + 1074 + 1
 _HALF_MAX = sys.float_info.max / 2.0
 
 
-class Decision(enum.Enum):
-    """Outcome of one sensing decision."""
-
-    IDLE = "idle"
-    OCCUPIED = "occupied"
-    FUZZY = "fuzzy"
-
-
 @dataclass(frozen=True)
 class ThresholdPair:
     """Lower and upper decision levels of a double-threshold detector.
 
-    Equal levels are allowed; the band then degenerates to a single
-    threshold and no energy is ever fuzzy under strict-inside tests,
-    while the inclusive band of double_threshold_decide collapses to
-    the single point lambda_low == lambda_high.
+    Equal levels are allowed: the inclusive fuzzy band then collapses
+    to the single point lambda_low == lambda_high, and an energy above
+    it is Occupied, as under a single threshold at that level.
     """
 
     lambda_low: float
@@ -99,29 +90,6 @@ class BisectionResult:
 
     lambda_opt: float
     trace: tuple[float, ...] = field(default_factory=tuple)
-
-
-def _check_energy(energy: float) -> None:
-    if not (math.isfinite(energy) and energy >= 0.0):
-        raise ValueError(f"energy must be finite and >= 0, got {energy!r}")
-
-
-def single_threshold_decide(energy: float, threshold: float) -> Decision:
-    """Occupied iff the energy strictly exceeds the threshold."""
-    _check_energy(energy)
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
-    return Decision.OCCUPIED if energy > threshold else Decision.IDLE
-
-
-def double_threshold_decide(energy: float, pair: ThresholdPair) -> Decision:
-    """Idle below the band, occupied above it, fuzzy inside (inclusive)."""
-    _check_energy(energy)
-    if energy < pair.lambda_low:
-        return Decision.IDLE
-    if energy > pair.lambda_high:
-        return Decision.OCCUPIED
-    return Decision.FUZZY
 
 
 def _midpoints(pair: ThresholdPair, energies, config: BisectionConfig) -> Iterator:
@@ -165,7 +133,8 @@ def bisection_optimum_threshold(
     or to mid moves low. The resolved threshold is the last midpoint
     computed.
     """
-    _check_energy(energy)
+    if not (math.isfinite(energy) and energy >= 0.0):
+        raise ValueError(f"energy must be finite and >= 0, got {energy!r}")
     if not pair.lambda_low <= energy <= pair.lambda_high:
         raise ValueError(
             f"energy {energy!r} outside the fuzzy band "
@@ -174,20 +143,3 @@ def bisection_optimum_threshold(
     trace = tuple(float(mid) for mid in _midpoints(pair, energy, config))
     return BisectionResult(lambda_opt=trace[-1], trace=trace)
 
-
-def resolve_fuzzy(
-    energy: float,
-    pair: ThresholdPair,
-    config: BisectionConfig = BisectionConfig(),
-) -> Decision:
-    """Final verdict for a fuzzy energy via the bisection threshold.
-
-    Energies outside the band keep their ordinary double-threshold
-    verdict; inside it the single-threshold rule is applied at the
-    resolved lambda_opt.
-    """
-    first_pass = double_threshold_decide(energy, pair)
-    if first_pass is not Decision.FUZZY:
-        return first_pass
-    result = bisection_optimum_threshold(pair, energy, config)
-    return single_threshold_decide(energy, result.lambda_opt)

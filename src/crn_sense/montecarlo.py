@@ -13,12 +13,14 @@ idle row of whole Box-Muller pairs (every chisq row, and a sample
 window of even M) is a sum of the pairs' squared norms, r² =
 -2·log1p(-u1) whatever the angle, so it reads only the pairs' first
 uniforms and leaves the rest unread; odd-M and H1 rows square every
-normal. A process keeps up to _MEMO_BYTES (32 MiB) of blocks'
-statistics in a least-recently-used cache keyed by (seed, params,
-model, mode, hypothesis, block index, rows), a partial last block
-under its own size, and a repeat call copies them instead of drawing
-again; a block depends on its key alone, so this changes time, never
-a bit.
+normal. Every row is drawn at unit noise, with its signal in units of
+the noise, and its sum is divided by M (sample model) and multiplied
+by the noise variance once, last. A process keeps up to _MEMO_BYTES
+(32 MiB) of blocks' statistics in a least-recently-used cache keyed
+by (seed, params, model, mode, hypothesis, block index, rows), a
+partial last block under its own size, and a repeat call copies them
+instead of drawing again; a block depends on its key alone, so this
+changes time, never a bit.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -222,42 +224,35 @@ def _block(
         second = _generator_at(seed, stream, pairs)
     if truth is Hypothesis.H1 and not chisq:
         signal = _generator_at(seed, stream, 2 * pairs)
-    # overflow is silent: a statistic past the largest double reads inf,
-    # above every finite threshold, its right verdict; a sample window
-    # whose sum alone overflows is averaged again below
+    # rows are drawn at unit noise and scaled by the noise variance once,
+    # last, so the variance overflows no step before the statistic; a
+    # statistic past the largest double reads inf, above every finite
+    # threshold, its right verdict
     with np.errstate(over="ignore"):
         for r0 in range(0, rows, tile_rows):
             r1 = min(r0 + tile_rows, rows)
             p0, p1 = r0 * m // 2, -(-r1 * m // 2)
             tile = out[r0:r1]
             if radii_only:
-                radii = -2.0 * np.log1p(-first.random(p1 - p0))
-                np.sum(radii.reshape(r1 - r0, m // 2), axis=1, out=tile)
-                # scaled last, so no step overflows unless the statistic does
-                if not chisq:
-                    tile /= m
-                tile *= params.noise_variance
-                continue
-            window = _box_muller(first.random(p1 - p0), second.random(p1 - p0))
-            window = window[: (r1 - r0) * m].reshape(r1 - r0, m)
-            if chisq:
-                if truth is Hypothesis.H1:
-                    window[:, 0] += math.sqrt(2.0 * params.snr_linear)
+                terms = (-2.0 * np.log1p(-first.random(p1 - p0))).reshape(r1 - r0, m // 2)
             else:
-                window *= math.sqrt(params.noise_variance)
-                if truth is Hypothesis.H1:
-                    window += bpsk_matrix(params, signal, mode, r1 - r0)
-            np.square(window, out=window)
-            if chisq:
-                np.multiply(params.noise_variance, np.sum(window, axis=1), out=tile)
-            else:
-                np.mean(window, axis=1, out=tile)
-                # np.mean sums a row before it divides, so a row whose sum
-                # passes the largest double reads inf though its mean may
-                # not; those rows are averaged again, term by term
+                terms = _box_muller(first.random(p1 - p0), second.random(p1 - p0))
+                terms = terms[: (r1 - r0) * m].reshape(r1 - r0, m)
+                if truth is Hypothesis.H1 and chisq:
+                    terms[:, 0] += math.sqrt(2.0 * params.snr_linear)
+                elif truth is Hypothesis.H1:
+                    terms += bpsk_matrix(params, signal, mode, r1 - r0)
+                np.square(terms, out=terms)
+            np.sum(terms, axis=1, out=tile)
+            if not chisq:
+                tile /= m
+                # a window whose signal alone sums past the largest double
+                # (snr·M ≳ 1.8e308) may still have a finite mean; those
+                # rows are averaged again, term by term
                 spilled = np.isinf(tile)
                 if spilled.any():
-                    tile[spilled] = np.sum(window[spilled] / m, axis=1)
+                    tile[spilled] = np.sum(terms[spilled] / m, axis=1)
+        out *= params.noise_variance
     out.flags.writeable = False
     return out
 

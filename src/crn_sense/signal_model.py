@@ -84,10 +84,6 @@ class SensingParams:
     def snr_linear(self) -> float:
         return snr_db_to_linear(self.snr_db)
 
-    @property
-    def signal_variance(self) -> float:
-        return self.snr_linear * self.noise_variance
-
 
 def snr_db_to_linear(snr_db: float) -> float:
     """Power ratio for a dB figure: 10^(snr_db / 10), finite up to _MAX_SNR_DB."""
@@ -138,7 +134,8 @@ def bpsk_matrix(
     mode: SignalMode,
     num_rows: int,
 ) -> np.ndarray:
-    """num_rows BPSK signal windows at power signal_variance, shape (num_rows, M)."""
+    """num_rows BPSK windows at power snr_linear, in units of the noise
+    variance (baseband amplitude sqrt(snr_linear)), shape (num_rows, M)."""
     if not isinstance(mode, SignalMode):
         raise ValueError(f"unknown signal mode: {mode!r}")
     if num_rows < 1:
@@ -148,12 +145,12 @@ def bpsk_matrix(
         # u - 0.5 < 0 exactly when u < 0.5, and u = 0.5 gives +0.0, so +amplitude
         signal = rng.random(num_rows * m).reshape(num_rows, m)
         signal -= 0.5
-        return np.copysign(math.sqrt(params.signal_variance), signal, out=signal)
+        return np.copysign(math.sqrt(params.snr_linear), signal, out=signal)
     bits_per_row = -(-m // SAMPLES_PER_BIT)
     bits = np.where(rng.random(num_rows * bits_per_row) < 0.5, -1.0, 1.0)
     bits = bits.reshape(num_rows, bits_per_row)
     symbols = np.repeat(bits, SAMPLES_PER_BIT, axis=1)[:, :m]
     carrier = np.cos(2.0 * np.pi * np.arange(m) / SAMPLES_PER_CYCLE)
     # sqrt(2) amplitude compensates the 1/2 average power of cos^2.
-    return math.sqrt(2.0 * params.signal_variance) * symbols * carrier
+    return math.sqrt(2.0 * params.snr_linear) * symbols * carrier
 

@@ -11,6 +11,7 @@ bit equality from the faster way marcum_q sums the same series.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -102,3 +103,32 @@ def sample_energy_sf_oracle(lam: float, num_samples: int, noise_variance: float,
     """
     scaled = num_samples * lam / noise_variance
     return noncentral_chi2_sf_oracle(scaled, num_samples, num_samples * snr_linear)
+
+
+def order_rule_threshold(low: float, high: float, energy: float, max_iter: int) -> float:
+    """The resolved threshold by a plain loop of the order rule, for one
+    energy, each midpoint the exact one rounded once."""
+    for _ in range(max_iter):
+        mid = float((Fraction(low) + Fraction(high)) / 2)
+        if low < energy < mid:
+            high = mid
+        else:
+            low = mid
+    return mid
+
+
+def verdict_oracle(energy: float, low: float, high: float, max_iter: int | None = None) -> str:
+    """The double-threshold verdict on one energy: 'idle' below low,
+    'occupied' above high, 'fuzzy' on the closed band between them.
+
+    Given max_iter, a fuzzy energy takes the single-threshold verdict,
+    strictly above or not, against its last order_rule_threshold
+    midpoint.
+    """
+    if energy < low:
+        return "idle"
+    if energy > high:
+        return "occupied"
+    if max_iter is None:
+        return "fuzzy"
+    return "occupied" if energy > order_rule_threshold(low, high, energy, max_iter) else "idle"

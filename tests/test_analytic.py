@@ -28,13 +28,7 @@ from crn_sense.analytic import (
     roc_analytic,
     threshold_for_target_pf,
 )
-from crn_sense.detector import (
-    BisectionConfig,
-    Decision,
-    ThresholdPair,
-    bisection_optimum_threshold,
-    single_threshold_decide,
-)
+from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from crn_sense.reference_tables import COLLISION_ROWS
 from crn_sense.signal_model import SensingParams
 
@@ -293,9 +287,10 @@ class TestResolvedOccupied:
     def probe_occupied_probability(pair, config, survival):
         """The resolved detector's occupied probability by running it.
 
-        Each of the 2^d equal cells takes the verdict the scalar
-        detector gives its midpoint (midpoints never tie a bisection
-        point); the verdicts are returned with the probability.
+        Each of the 2^d equal cells takes the verdict of its midpoint
+        against the midpoint's own resolved threshold, True for
+        Occupied (midpoints never tie a bisection point); the verdicts
+        are returned with the probability.
         """
         cells = 2**config.max_iter
         step = pair.width / cells
@@ -305,8 +300,8 @@ class TestResolvedOccupied:
             lo = pair.lambda_low + index * step
             probe = lo + step / 2.0
             resolved = bisection_optimum_threshold(pair, probe, config).lambda_opt
-            verdicts.append(single_threshold_decide(probe, resolved))
-            if verdicts[-1] is Decision.OCCUPIED:
+            verdicts.append(probe > resolved)
+            if verdicts[-1]:
                 total += survival(lo) - survival(lo + step)
         return total, verdicts
 
@@ -321,7 +316,7 @@ class TestResolvedOccupied:
                 for survival in (self.survival_pf, self.survival_pd):
                     got = resolved_occupied_probability(pair, config, survival)
                     want, verdicts = self.probe_occupied_probability(pair, config, survival)
-                    odd = [Decision.OCCUPIED if k % 2 else Decision.IDLE for k in range(2**depth)]
+                    odd = [k % 2 == 1 for k in range(2**depth)]
                     assert verdicts == odd, (lo, hi, depth)
                     assert got == pytest.approx(want, abs=1e-12), (lo, hi, depth)
 

@@ -1,9 +1,11 @@
 """Decision rule tests, including the published threshold resolutions.
 
-The sixteen golden lambda_opt values below are the full-precision
-dyadic numbers whose 2-decimal prints appear in the published
-comparison tables; each was derived by hand-executing the four-step
-halving rule and is reproduced exactly, not approximately.
+The verdicts are pinned on count_band, the one place the rule is
+coded, with one-element arrays. The sixteen golden lambda_opt values
+below are the full-precision dyadic numbers whose 2-decimal prints
+appear in the published comparison tables; each was derived by
+hand-executing the four-step halving rule and is reproduced exactly,
+not approximately.
 """
 
 from __future__ import annotations
@@ -19,14 +21,11 @@ import pytest
 from crn_sense.detector import (
     BisectionConfig,
     BisectionResult,
-    Decision,
     ThresholdPair,
     _midpoints,
     bisection_optimum_threshold,
-    double_threshold_decide,
-    resolve_fuzzy,
-    single_threshold_decide,
 )
+from crn_sense.montecarlo import count_band
 
 # (band, sensed energy) -> exact resolved threshold, default depth 4
 GOLDEN_BAND_12_18 = [
@@ -51,19 +50,22 @@ GOLDEN_ENERGY_14_5 = [
 ]
 
 
+def verdict(energy, pair, bisection=None):
+    """count_band's verdict on one energy: 'occupied', 'idle' or 'fuzzy',
+    or, given a bisection, the resolved 'occupied' or 'idle'."""
+    counts = count_band(np.array([energy]), pair, bisection)
+    if bisection is not None:
+        return "occupied" if counts.resolved_occupied else "idle"
+    names = {(1, 0, 0): "occupied", (0, 1, 0): "idle", (0, 0, 1): "fuzzy"}
+    return names[counts.above, counts.below, counts.inside]
+
+
 class TestSingleThreshold:
     def test_boundary_is_idle(self):
-        assert single_threshold_decide(1.0, 1.0) is Decision.IDLE
-        assert single_threshold_decide(1.0000001, 1.0) is Decision.OCCUPIED
-        assert single_threshold_decide(0.0, 0.0) is Decision.IDLE
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            single_threshold_decide(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            single_threshold_decide(1.0, -1.0)
-        with pytest.raises(ValueError):
-            single_threshold_decide(math.inf, 1.0)
+        # a single threshold is the degenerate pair; Occupied is strictly above it
+        assert count_band(np.array([1.0]), ThresholdPair(1.0, 1.0)).above == 0
+        assert count_band(np.array([1.0000001]), ThresholdPair(1.0, 1.0)).above == 1
+        assert count_band(np.array([0.0]), ThresholdPair(0.0, 0.0)).above == 0
 
 
 class TestThresholdPair:
@@ -86,17 +88,17 @@ class TestThresholdPair:
 class TestDoubleThreshold:
     def test_band_is_inclusive(self):
         pair = ThresholdPair(12.0, 18.0)
-        assert double_threshold_decide(11.999, pair) is Decision.IDLE
-        assert double_threshold_decide(12.0, pair) is Decision.FUZZY
-        assert double_threshold_decide(15.0, pair) is Decision.FUZZY
-        assert double_threshold_decide(18.0, pair) is Decision.FUZZY
-        assert double_threshold_decide(18.001, pair) is Decision.OCCUPIED
+        assert verdict(11.999, pair) == "idle"
+        assert verdict(12.0, pair) == "fuzzy"
+        assert verdict(15.0, pair) == "fuzzy"
+        assert verdict(18.0, pair) == "fuzzy"
+        assert verdict(18.001, pair) == "occupied"
 
     def test_degenerate_band(self):
         pair = ThresholdPair(5.0, 5.0)
-        assert double_threshold_decide(4.9, pair) is Decision.IDLE
-        assert double_threshold_decide(5.0, pair) is Decision.FUZZY
-        assert double_threshold_decide(5.1, pair) is Decision.OCCUPIED
+        assert verdict(4.9, pair) == "idle"
+        assert verdict(5.0, pair) == "fuzzy"
+        assert verdict(5.1, pair) == "occupied"
 
 
 class TestBisectionConfig:
@@ -242,22 +244,24 @@ class TestBisection:
 class TestResolveFuzzy:
     def test_out_of_band_passthrough(self):
         pair = ThresholdPair(12.0, 18.0)
-        assert resolve_fuzzy(11.0, pair) is Decision.IDLE
-        assert resolve_fuzzy(19.0, pair) is Decision.OCCUPIED
+        assert verdict(11.0, pair, BisectionConfig()) == "idle"
+        assert verdict(19.0, pair, BisectionConfig()) == "occupied"
 
     def test_in_band_resolution(self):
         pair = ThresholdPair(12.0, 18.0)
         # energy 12.5 resolves the threshold to 12.375, just below it
-        assert resolve_fuzzy(12.5, pair) is Decision.OCCUPIED
+        assert verdict(12.5, pair, BisectionConfig()) == "occupied"
         # energy 14.5 in band (7, 22) resolves to 21.0625, far above it
-        assert resolve_fuzzy(14.5, ThresholdPair(7.0, 22.0)) is Decision.IDLE
+        assert verdict(14.5, ThresholdPair(7.0, 22.0), BisectionConfig()) == "idle"
+        # an energy equal to low, or to the first midpoint 15, moves low
+        # up and resolves to 17.625, above it
+        assert verdict(12.0, pair, BisectionConfig()) == "idle"
+        assert verdict(15.0, pair, BisectionConfig()) == "idle"
 
     def test_matches_composition(self):
         rng = np.random.default_rng(107)
         pair = ThresholdPair(3.0, 23.0)
         for _ in range(200):
             energy = float(rng.uniform(3.0, 23.0))
-            expected = single_threshold_decide(
-                energy, bisection_optimum_threshold(pair, energy).lambda_opt
-            )
-            assert resolve_fuzzy(energy, pair) is expected
+            resolved = bisection_optimum_threshold(pair, energy).lambda_opt
+            assert verdict(energy, pair, BisectionConfig()) == ("occupied" if energy > resolved else "idle")

@@ -19,7 +19,6 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,14 +26,7 @@ from scipy.special import gammaincc
 from scipy.stats import chi2, ncx2
 
 from crn_sense import montecarlo
-from crn_sense.detector import (
-    BisectionConfig,
-    Decision,
-    ThresholdPair,
-    bisection_optimum_threshold,
-    double_threshold_decide,
-    resolve_fuzzy,
-)
+from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from crn_sense.montecarlo import (
     BLOCK_TRIALS,
     CollisionRow,
@@ -51,6 +43,7 @@ from crn_sense.montecarlo import (
     roc_empirical,
 )
 from crn_sense.signal_model import Hypothesis, SensingParams, SignalMode, block_generator, bpsk_matrix
+from oracles import order_rule_threshold, verdict_oracle
 
 SNR = 10.0 ** (-1.4)
 
@@ -349,17 +342,23 @@ class TestBlockMemo:
         }
 
 
-def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int, radii: bool = True) -> np.ndarray:
-    """The block fill as it was before tiling: every 1024-trial block
-    drawn in order from one generator and transformed as one 1024 x m
-    array (M samples, or the chisq model's 2u dimensions), the signal
-    added over all 1024 rows, and then the head of the block kept. One
-    generator, so no counter offset is assumed.
+def whole_block_statistics(
+    config: TrialConfig, truth: Hypothesis, count: int, radii: bool = True, full_scale: bool = False
+) -> np.ndarray:
+    """The block fill as it was before tiling: every 1024-trial block's
+    uniforms drawn in order from one generator, and the rows kept
+    transformed as one rows x m array (M samples, or the chisq model's
+    2u dimensions), their signal drawn after all of the block's noise.
+    One generator, so no counter offset is assumed.
 
-    An H0 row of whole pairs (m even) sums the pairs' squared norms
-    r² = -2·log1p(-u1), then divides by M (sample model), then scales
-    by the noise variance. With radii=False every row squares its
-    cos/sin normals instead, as the fill did before it used r²."""
+    Rows are drawn at unit noise, summed, divided by M (sample model)
+    and then scaled by the noise variance. An H0 row of whole pairs
+    (m even) sums the pairs' squared norms r² = -2·log1p(-u1). With
+    radii=False every row squares its cos/sin normals instead, as the
+    fill did before it used r². With full_scale=True a sample window
+    is scaled first, noise and signal each by the square root of the
+    noise variance, then squared and averaged, as the fill did before
+    it drew at unit noise."""
     params = config.params
     chisq = config.model is GenerativeModel.CHISQ
     m = 2 * params.time_bandwidth if chisq else params.num_samples
@@ -370,30 +369,33 @@ def whole_block_statistics(config: TrialConfig, truth: Hypothesis, count: int, r
         start = index * BLOCK_TRIALS
         rows = min(BLOCK_TRIALS, count - start)
         rng = block_generator(config.seed, (purpose << montecarlo._PURPOSE_SHIFT) | index)
-        u1 = rng.random(pairs)
-        u2 = rng.random(pairs)
+        used = -(-rows * m // 2)  # the pairs the kept rows read
+        u1 = rng.random(pairs)[:used]
+        u2 = rng.random(pairs)[:used]
         if radii and truth is Hypothesis.H0 and m % 2 == 0:
             r2 = -2.0 * np.log1p(-u1)
-            stats = np.sum(r2.reshape(BLOCK_TRIALS, m // 2)[:rows], axis=1)
+            stats = np.sum(r2.reshape(rows, m // 2), axis=1)
             if not chisq:
                 stats = stats / m
             out[start : start + rows] = stats * params.noise_variance
             continue
         radius = np.sqrt(-2.0 * np.log1p(-u1))
         angle = (2.0 * np.pi) * u2
-        z = np.empty(2 * pairs)
+        z = np.empty(2 * used)
         z[0::2] = radius * np.cos(angle)
         z[1::2] = radius * np.sin(angle)
+        z = z[: rows * m].reshape(rows, m)
         if chisq:
-            z = z.reshape(BLOCK_TRIALS, m)[:rows]
             if truth is Hypothesis.H1:
                 z[:, 0] += math.sqrt(2.0 * params.snr_linear)
             out[start : start + rows] = params.noise_variance * np.sum(np.square(z), axis=1)
             continue
-        received = math.sqrt(params.noise_variance) * z.reshape(BLOCK_TRIALS, m)
-        if truth is Hypothesis.H1:
-            received = received + bpsk_matrix(params, rng, config.mode, BLOCK_TRIALS)
-        out[start : start + rows] = np.mean(np.square(received[:rows]), axis=1)
+        signal = bpsk_matrix(params, rng, config.mode, rows) if truth is Hypothesis.H1 else 0.0
+        if full_scale:
+            scale = math.sqrt(params.noise_variance)
+            out[start : start + rows] = np.mean(np.square(scale * z + scale * signal), axis=1)
+        else:
+            out[start : start + rows] = np.sum(np.square(z + signal), axis=1) / m * params.noise_variance
     return out
 
 
@@ -464,6 +466,21 @@ class TestTiledSampleFill:
             ulps = np.abs(got - squares) / np.spacing(squares)
             assert ulps.max() <= 8.0, (model, width, variance, ulps.max())
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 63, 64, 65, 999, 1000, 8192])
+    def test_unit_noise_rows_stay_near_the_full_scale_order(self, m):
+        # drawn at unit noise and scaled last, a sample statistic differs
+        # from the full-scale window's by rounding alone
+        for variance, snr_db, mode, truth in itertools.product((0.3, 2.5), (-14.0, 3.0), SignalMode, Hypothesis):
+            if truth is Hypothesis.H0 and (snr_db, mode) != (-14.0, SignalMode.BASEBAND_BPSK):
+                continue  # an H0 window holds no signal
+            params = SensingParams(num_samples=m, snr_db=snr_db, noise_variance=variance)
+            rows = min(BLOCK_TRIALS, 2**20 // m)  # at most a block, or 2^20 samples
+            config = TrialConfig(num_trials=rows, seed=1000 + m, params=params, mode=mode)
+            got = _statistics(config, truth)
+            want = whole_block_statistics(config, truth, rows, full_scale=True)
+            drift = np.abs(got - want).max() / (variance * (1.0 + params.snr_linear))
+            assert drift <= 1e-14, (m, variance, snr_db, mode, truth, drift)
+
     @pytest.mark.parametrize(
         "model, field, width, truth, offsets",
         [
@@ -492,13 +509,25 @@ class TestTiledSampleFill:
     @pytest.mark.parametrize("truth", list(Hypothesis))
     @pytest.mark.parametrize("m", [999, 1000])
     def test_window_sum_past_the_largest_double(self, truth, m):
-        # at noise variance 1e306 a window's sum of squares overflows
-        # though its mean does not; the statistic still scales with it
+        # at noise variance 1e306 a window's sum of squares passes the
+        # largest double though its mean does not, and at 1e307 a single
+        # squared sample can; the statistic still scales with the variance
         config = TrialConfig(num_trials=BLOCK_TRIALS, seed=77, params=SensingParams(num_samples=m))
-        huge = replace(config, params=replace(config.params, noise_variance=1e306))
-        got = _statistics(huge, truth)
-        assert np.isfinite(got).all()
-        np.testing.assert_allclose(got / 1e306, _statistics(config, truth), rtol=1e-14)
+        for variance in (1e306, 1e307):
+            huge = replace(config, params=replace(config.params, noise_variance=variance))
+            got = _statistics(huge, truth)
+            assert np.isfinite(got).all(), variance
+            np.testing.assert_allclose(got / variance, _statistics(config, truth), rtol=1e-14)
+
+    @pytest.mark.parametrize("mode", list(SignalMode))
+    def test_signal_sum_past_the_largest_double(self, mode):
+        # at 3060 dB a 1000-sample window's unit-noise sum passes the
+        # largest double though its mean, about snr, does not; at 3070 dB
+        # a tiny noise variance brings the statistic back to about 1e7
+        for snr_db, variance in ((3060.0, 1.0), (3070.0, 1e-300)):
+            params = SensingParams(num_samples=1000, snr_db=snr_db, noise_variance=variance)
+            got = _statistics(TrialConfig(num_trials=64, seed=3, params=params, mode=mode), Hypothesis.H1)
+            np.testing.assert_allclose(got, params.snr_linear * variance, rtol=1e-12)
 
     @staticmethod
     def block_peak(params, mode=SignalMode.BASEBAND_BPSK, model=GenerativeModel.SAMPLE, truth=Hypothesis.H1):
@@ -597,19 +626,6 @@ class TestEstimateSingle:
         assert abs(h0.rate - truth) < three_sigma(20000, truth)
 
 
-def order_rule_threshold(pair, energy, max_iter):
-    """The resolved threshold by a plain loop of the order rule, for one
-    energy, each midpoint the exact one rounded once."""
-    low, high = pair.lambda_low, pair.lambda_high
-    for _ in range(max_iter):
-        mid = float((Fraction(low) + Fraction(high)) / 2)
-        if low < energy < mid:
-            high = mid
-        else:
-            low = mid
-    return mid
-
-
 def resolved_verdicts(energies, pair, config):
     """The array path's Occupied verdict for each in-band energy."""
     inside = np.ones(energies.shape, dtype=bool)
@@ -625,7 +641,7 @@ class TestBisectArray:
             config = BisectionConfig(max_iter=max_iter)
             verdicts = resolved_verdicts(energies, pair, config)
             for energy, got in zip(energies, verdicts):
-                want = order_rule_threshold(pair, float(energy), max_iter)
+                want = order_rule_threshold(12.0, 18.0, float(energy), max_iter)
                 assert got == (energy > want), (max_iter, energy)
                 assert bisection_optimum_threshold(pair, float(energy), config).lambda_opt == want
 
@@ -634,7 +650,7 @@ class TestBisectArray:
         pair = ThresholdPair(12.0, 18.0)
         verdicts = resolved_verdicts(np.array([12.0, 18.0]), pair, BisectionConfig())
         assert verdicts.tolist() == [False, True]
-        assert order_rule_threshold(pair, 12.0, 4) == order_rule_threshold(pair, 18.0, 4) == 17.625
+        assert order_rule_threshold(12.0, 18.0, 12.0, 4) == order_rule_threshold(12.0, 18.0, 18.0, 4) == 17.625
 
     def test_huge_band_midpoints_stay_in_band(self):
         # 1e308 + 1.5e308 overflows; the midpoints were all inf, so every
@@ -642,13 +658,13 @@ class TestBisectArray:
         pair = ThresholdPair(1e308, 1.5e308)
         energies = np.array([1e308, 1.2e308, 1.25e308, 1.3e308, 1.49e308, 1.5e308])
         counts = count_band(energies, pair, BisectionConfig())
-        final = [resolve_fuzzy(float(e), pair) for e in energies]
-        assert counts.resolved_occupied == final.count(Decision.OCCUPIED) == 3
+        final = [verdict_oracle(float(e), 1e308, 1.5e308, 4) for e in energies]
+        assert counts.resolved_occupied == final.count("occupied") == 3
         for depth in (1, 4, 11):
             config = BisectionConfig(max_iter=depth)
             verdicts = resolved_verdicts(energies, pair, config)
             for energy, got in zip(energies, verdicts):
-                assert got == (energy > order_rule_threshold(pair, float(energy), depth)), (depth, energy)
+                assert got == (energy > order_rule_threshold(1e308, 1.5e308, float(energy), depth)), (depth, energy)
 
     def test_verdicts_scale_exactly_by_a_power_of_two(self):
         # as the scalar trace does; at depth 4 the product's sign test
@@ -679,12 +695,12 @@ class TestCountBand:
         ties = np.array([low, high, (low + high) / 2.0, low + pair.width / 4.0, low + 3.0 * pair.width / 8.0])
         for stats in (*chisq_draws, ties):
             counts = count_band(stats, pair, bisection)
-            first = Counter(double_threshold_decide(float(e), pair) for e in stats)
-            final = Counter(resolve_fuzzy(float(e), pair, bisection) for e in stats)
-            assert counts.above == first[Decision.OCCUPIED]
-            assert counts.below == first[Decision.IDLE]
-            assert counts.inside == first[Decision.FUZZY]
-            assert counts.resolved_occupied == final[Decision.OCCUPIED]
+            first = Counter(verdict_oracle(float(e), low, high) for e in stats)
+            final = Counter(verdict_oracle(float(e), low, high, depth) for e in stats)
+            assert counts.above == first["occupied"]
+            assert counts.below == first["idle"]
+            assert counts.inside == first["fuzzy"]
+            assert counts.resolved_occupied == final["occupied"]
 
 
 class TestEstimateDouble:

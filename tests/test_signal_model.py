@@ -54,7 +54,6 @@ class TestSensingParams:
     def test_derived_quantities(self):
         p = SensingParams(num_samples=200, snr_db=-14.0, noise_variance=2.0, time_bandwidth=5)
         assert p.snr_linear == pytest.approx(0.039810717055349725, rel=1e-15)
-        assert p.signal_variance == pytest.approx(2.0 * p.snr_linear, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,41 +127,42 @@ class TestGenerators:
         assert not np.array_equal(a[0], box_muller(11, 32))
 
     def test_baseband_signal_is_constant_magnitude(self):
-        p = SensingParams(num_samples=512, snr_db=-14.0)
+        # in units of the noise: the noise variance does not reach it
+        p = SensingParams(num_samples=512, snr_db=-14.0, noise_variance=4.0)
         rng = block_generator(seed=9)
         signal = bpsk_matrix(p, rng, SignalMode.BASEBAND_BPSK, 1)[0]
-        magnitude = math.sqrt(p.signal_variance)
+        magnitude = math.sqrt(p.snr_linear)
         assert np.allclose(np.abs(signal), magnitude, rtol=0, atol=0)
         assert set(np.sign(signal)) == {-1.0, 1.0}
 
     def test_carrier_power_is_exact_over_whole_cycles(self):
         # cos^2 sums to exactly half the samples over each full cycle,
-        # so a window of whole cycles carries signal power sigma_s^2
+        # so a window of whole cycles carries signal power snr_linear
         p = SensingParams(num_samples=8 * 125, snr_db=-14.0)
         rng = block_generator(seed=13)
         signal = bpsk_matrix(p, rng, SignalMode.CARRIER_BPSK, 1)[0]
         power = float(np.mean(np.square(signal)))
-        assert power == pytest.approx(p.signal_variance, rel=1e-12)
+        assert power == pytest.approx(p.snr_linear, rel=1e-12)
 
     def test_carrier_power_calibration_large_window(self):
         p = SensingParams(num_samples=10**6, snr_db=-14.0)
         rng = block_generator(seed=17)
         signal = bpsk_matrix(p, rng, SignalMode.CARRIER_BPSK, 1)[0]
         power = float(np.mean(np.square(signal)))
-        assert abs(power - p.signal_variance) <= 0.02 * p.signal_variance
+        assert abs(power - p.snr_linear) <= 0.02 * p.snr_linear
 
     def test_baseband_power_calibration_large_window(self):
         p = SensingParams(num_samples=10**6, snr_db=-14.0)
         rng = block_generator(seed=19)
         signal = bpsk_matrix(p, rng, SignalMode.BASEBAND_BPSK, 1)[0]
         power = float(np.mean(np.square(signal)))
-        assert power == pytest.approx(p.signal_variance, rel=1e-12)
+        assert power == pytest.approx(p.snr_linear, rel=1e-12)
 
     def test_zero_snr_limit_gives_silent_signal(self):
         p = SensingParams(num_samples=256, snr_db=-1000.0)
         rng = block_generator(seed=23)
         signal = bpsk_matrix(p, rng, SignalMode.BASEBAND_BPSK, 1)[0]
-        assert float(np.max(np.abs(signal))) == pytest.approx(math.sqrt(p.signal_variance))
+        assert float(np.max(np.abs(signal))) == pytest.approx(math.sqrt(p.snr_linear))
         assert float(np.max(np.abs(signal))) < 1e-49
 
     def test_unknown_mode_rejected(self):
@@ -176,7 +176,7 @@ class TestGenerators:
         rng = block_generator(seed=29)
         signal = bpsk_matrix(p, rng, SignalMode.CARRIER_BPSK, 1)[0]
         carrier = np.cos(2.0 * np.pi * np.arange(SAMPLES_PER_BIT) / SAMPLES_PER_CYCLE)
-        scale = math.sqrt(2.0 * p.signal_variance)
+        scale = math.sqrt(2.0 * p.snr_linear)
         for bit in range(3):
             chunk = signal[bit * SAMPLES_PER_BIT : (bit + 1) * SAMPLES_PER_BIT]
             ratio = chunk / (scale * carrier + 1e-300)
@@ -202,7 +202,7 @@ class TestBpskSigns:
         # at -4000 dB the amplitude is 0.0 and the signs are -0.0 and +0.0
         p = SensingParams(num_samples=len(self.UNIFORMS), snr_db=snr_db)
         got = bpsk_matrix(p, self.Stub(self.UNIFORMS), SignalMode.BASEBAND_BPSK, 1)
-        want = math.sqrt(p.signal_variance) * np.where(np.array([self.UNIFORMS]) < 0.5, -1.0, 1.0)
+        want = math.sqrt(p.snr_linear) * np.where(np.array([self.UNIFORMS]) < 0.5, -1.0, 1.0)
         assert got.tobytes() == want.tobytes()
         assert got.shape == (1, len(self.UNIFORMS))
 
