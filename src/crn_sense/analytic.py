@@ -15,8 +15,10 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .detector import BisectionConfig, ThresholdPair
-from .specfun import gaussian_q, gaussian_q_inv, marcum_q, reg_upper_gamma
+from .specfun import checked_values, gaussian_q, gaussian_q_inv, marcum_q, reg_upper_gamma
 
 __all__ = [
     "RocPoint",
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 _MONOTONE_SLACK = 1e-12  # roundoff allowance when validating curve ordering
+_SLICE_CELLS = 2**12  # cells per survival call of the resolved closed form
 
 
 @dataclass(frozen=True)
@@ -111,46 +114,46 @@ def _check_snr(snr_linear: float) -> None:
         raise ValueError(f"snr_linear must be finite and >= 0, got {snr_linear!r}")
 
 
-def pf_gaussian(threshold: float, noise_variance: float, num_samples: int) -> float:
+# Each rate below takes a threshold or an ndarray of them, as the
+# special functions do: a float gives a float, an array an array.
+
+
+def pf_gaussian(threshold, noise_variance: float, num_samples: int):
     """False-alarm probability, CLT family.
 
     Q((threshold / noise_variance - 1) * sqrt(num_samples / 2)).
     """
     _check_gaussian_args(noise_variance, num_samples)
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    checked_values(threshold, "threshold must be finite", nonnegative=False)
     arg = (threshold / noise_variance - 1.0) * math.sqrt(num_samples / 2.0)
     return gaussian_q(arg)
 
 
-def pd_gaussian(threshold: float, noise_variance: float, snr_linear: float, num_samples: int) -> float:
+def pd_gaussian(threshold, noise_variance: float, snr_linear: float, num_samples: int):
     """Detection probability, CLT family.
 
     Q((threshold / noise_variance - snr - 1) * sqrt(num_samples / (2 (2 snr + 1)))).
     """
     _check_gaussian_args(noise_variance, num_samples)
     _check_snr(snr_linear)
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    checked_values(threshold, "threshold must be finite", nonnegative=False)
     arg = (threshold / noise_variance - snr_linear - 1.0) * math.sqrt(
         num_samples / (2.0 * (2.0 * snr_linear + 1.0))
     )
     return gaussian_q(arg)
 
 
-def pf_gamma(threshold: float, u: int) -> float:
+def pf_gamma(threshold, u: int):
     """False-alarm probability, chi-square family: upper tail at threshold/2."""
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
+    checked_values(threshold, "threshold must be finite and >= 0")
     return reg_upper_gamma(u, threshold / 2.0)
 
 
-def pd_marcum(threshold: float, snr_linear: float, u: int) -> float:
+def pd_marcum(threshold, snr_linear: float, u: int):
     """Detection probability, noncentral chi-square family."""
     _check_snr(snr_linear)
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
-    return marcum_q(u, math.sqrt(2.0 * snr_linear), math.sqrt(threshold))
+    checked_values(threshold, "threshold must be finite and >= 0")
+    return marcum_q(u, math.sqrt(2.0 * snr_linear), np.sqrt(threshold))
 
 
 def double_threshold_report(pair: ThresholdPair, snr_linear: float, u: int) -> DoubleThresholdReport:
@@ -173,31 +176,36 @@ def threshold_for_target_pf(target_pf: float, noise_variance: float, num_samples
     return noise_variance * (1.0 + gaussian_q_inv(target_pf) * math.sqrt(2.0 / num_samples))
 
 
-def tails(params, form: str) -> tuple[Callable[[float], float], Callable[[float], float]]:
+Survival = Callable[[np.ndarray], np.ndarray]
+
+
+def tails(params, form: str) -> tuple[Survival, Survival]:
     """(Pr[T > x | idle], Pr[T > x | busy]) of one formula family.
 
     params carries the sensing configuration (window length, SNR,
     noise variance, order); form picks the family. "gaussian" reads x
     as mean square per sample; "gamma-marcum" reads it as collected
-    energy and scales it by the noise variance.
+    energy and scales it by the noise variance. Each survival maps an
+    ndarray of levels to the ndarray of their tails, element by element
+    with the bits of a float call, which gives a float.
     """
     snr = params.snr_linear
     noise_variance = params.noise_variance
     if form == "gaussian":
         num_samples = params.num_samples
 
-        def idle_tail(x: float) -> float:
+        def idle_tail(x):
             return pf_gaussian(x, noise_variance, num_samples)
 
-        def busy_tail(x: float) -> float:
+        def busy_tail(x):
             return pd_gaussian(x, noise_variance, snr, num_samples)
     elif form == "gamma-marcum":
         order = params.time_bandwidth
 
-        def idle_tail(x: float) -> float:
+        def idle_tail(x):
             return pf_gamma(x / noise_variance, order)
 
-        def busy_tail(x: float) -> float:
+        def busy_tail(x):
             return pd_marcum(x / noise_variance, snr, order)
     else:
         raise ValueError(f"form must be 'gaussian' or 'gamma-marcum', got {form!r}")
@@ -213,48 +221,48 @@ def roc_analytic(lambda_grid: Sequence[float], params, form: str = "gamma-marcum
     grid = sorted(float(x) for x in lambda_grid)
     if not grid:
         raise ValueError("lambda_grid must be non-empty")
+    levels = np.array(grid[::-1])
     idle_tail, busy_tail = tails(params, form)
-    points = [RocPoint(pf=idle_tail(lam), pd=busy_tail(lam), threshold=lam) for lam in reversed(grid)]
-    return RocCurve(points=tuple(points))
+    rates = zip(idle_tail(levels).tolist(), busy_tail(levels).tolist(), levels.tolist())
+    return RocCurve(points=tuple(RocPoint(pf=pf, pd=pd, threshold=lam) for pf, pd, lam in rates))
 
 
-def resolved_occupied_probability(
-    pair: ThresholdPair,
-    config: BisectionConfig,
-    survival: Callable[[float], float],
-) -> float:
+def resolved_occupied_probability(pair: ThresholdPair, config: BisectionConfig, survival: Survival) -> float:
     """Pr[final verdict is Occupied] for the bisection-resolved detector.
 
-    survival(x) must be Pr[T > x] of the statistic, continuous in x.
-    After max_iter halvings the resolved threshold is constant on each
-    of the 2^max_iter equal sub-cells of the band, and within a cell
-    the verdict is too, so the in-band contribution is a finite sum of
-    survival differences over the cells whose verdict is Occupied.
-    An energy in cell k ends in a bracket whose last halving kept the
-    upper half exactly when k is odd, and only then does it exceed the
-    last midpoint, so the Occupied cells are the odd-indexed ones.
-    Cells narrower than one ulp of lambda_high are refused: the
-    detector's midpoints stop moving there.
+    survival maps an ndarray of levels x to the ndarray of Pr[T > x],
+    the statistic's survival, continuous in x; `tails` gives such
+    functions. After max_iter halvings the resolved threshold is
+    constant on each of the 2^max_iter equal sub-cells of the band, and
+    within a cell the verdict is too, so the in-band contribution is a
+    finite sum of survival differences over the cells whose verdict is
+    Occupied. An energy in cell k ends in a bracket whose last halving
+    kept the upper half exactly when k is odd, and only then does it
+    exceed the last midpoint, so the Occupied cells are the odd-indexed
+    ones. The cell edges go to survival in top-down slices of at most
+    2^12 + 1, one slice up to depth 12. Cells narrower than one ulp of
+    lambda_high are refused: the detector's midpoints stop moving there.
     """
-    total = survival(pair.lambda_high)
     if pair.width == 0.0:
-        return total
+        return float(survival(np.array([pair.lambda_high]))[0])
     if math.ldexp(pair.width, -config.max_iter) < math.ulp(pair.lambda_high):
         band = f"{pair.lambda_low!r}..{pair.lambda_high!r}"
         raise ValueError(f"max_iter={config.max_iter} splits band {band} into cells under an ulp")
     cells = 2 ** config.max_iter
     step = pair.width / cells
-    low = pair.lambda_low
-    tail_hi = survival(pair.lambda_high)
-    # from the top, cells come in (odd, even) pairs; a negative gap is
-    # roundoff and adds nothing
-    for index in range(cells - 1, 0, -2):
-        tail_lo = survival(low + index * step)
-        gap = tail_lo - tail_hi
-        if gap > 0.0:
-            total += gap
-        tail_hi = survival(low + (index - 1) * step)
-    return min(1.0, total)
+    total = None
+    for top in range(cells, 0, -_SLICE_CELLS):
+        edges = pair.lambda_low + np.arange(max(top - _SLICE_CELLS, 0), top + 1) * step
+        if top == cells:
+            edges[-1] = pair.lambda_high
+        tail = survival(edges)
+        # odd cells from the top, cell k spanning edges k and k + 1; the
+        # gaps are added in that order onto S(lambda_high), and a
+        # negative gap is roundoff and adds nothing
+        gaps = tail[-2::-2] - tail[:0:-2]
+        start = tail[-1] if total is None else total
+        total = np.add.accumulate(np.concatenate(([start], gaps[gaps > 0.0])))[-1]
+    return min(1.0, float(total))
 
 
 def bisection_resolved_rates(

@@ -282,19 +282,21 @@ def cmd_roc(args: argparse.Namespace) -> int:
             "their ratio is no finite double"
         )
     idle_tail, busy_tail = tails(params, _FORMS[args.model])
+    # every band's lower level, then every upper one, in one call per tail
+    levels = np.array([pair.lambda_low for pair in pairs] + [pair.lambda_high for pair in pairs])
+    edge_rates = list(zip(idle_tail(levels).tolist(), busy_tail(levels).tolist()))
     curves: dict[str, list[list[tuple[str, float]]]] = {"single": [], "double": [], "optimum": []}
-    for pair in pairs:
-        lam, upper = pair.lambda_low, pair.lambda_high
+    for index, pair in enumerate(pairs):
         analytic = {
-            "single": (idle_tail(lam), busy_tail(lam)),
-            "double": (idle_tail(upper), busy_tail(upper)),
+            "single": edge_rates[index],
+            "double": edge_rates[len(pairs) + index],
             "optimum": (
                 resolved_occupied_probability(pair, bisection, idle_tail),
                 resolved_occupied_probability(pair, bisection, busy_tail),
             ),
         }
         for suffix, (pf, pd) in analytic.items():
-            curves[suffix].append([("lambda", lam), ("pf_analytic", pf), ("pd_analytic", pd)])
+            curves[suffix].append([("lambda", pair.lambda_low), ("pf_analytic", pf), ("pd_analytic", pd)])
     stats_h0, stats_h1 = draw_statistics(config)
     trials = config.num_trials
     for index, pair in enumerate(pairs):

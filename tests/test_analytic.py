@@ -9,11 +9,14 @@ package's own output so regressions show up at full precision.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.special import gammaincc
 from scipy.stats import ncx2
 
+from crn_sense import analytic
 from crn_sense.analytic import (
     DoubleThresholdReport,
     RocCurve,
@@ -26,6 +29,7 @@ from crn_sense.analytic import (
     pf_gaussian,
     resolved_occupied_probability,
     roc_analytic,
+    tails,
     threshold_for_target_pf,
 )
 from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
@@ -248,6 +252,26 @@ class TestRocAnalytic:
             roc_analytic([1.0], SensingParams(), form="bogus")
 
 
+class TestTails:
+    @pytest.mark.parametrize("form", ("gaussian", "gamma-marcum"))
+    def test_array_levels_give_the_float_bits(self, form):
+        params = SensingParams(noise_variance=1.7)
+        levels = np.linspace(0.0, 40.0, 81) if form == "gamma-marcum" else np.linspace(0.5, 1.5, 81)
+        for survival in tails(params, form):
+            got = survival(levels)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == [survival(x) for x in levels.tolist()]
+
+    def test_array_levels_are_checked(self):
+        levels = np.array([12.0, -1.0, math.nan])
+        with pytest.raises(ValueError, match="threshold must be finite and >= 0, got -1.0"):
+            pf_gamma(levels, 5)
+        with pytest.raises(ValueError, match="threshold must be finite and >= 0, got -1.0"):
+            pd_marcum(levels, SNR, 5)
+        with pytest.raises(ValueError, match="threshold must be finite, got nan"):
+            pf_gaussian(levels, 1.0, 1000)
+
+
 class TestRocCurveValidation:
     def test_rejects_increasing_threshold(self):
         with pytest.raises(ValueError):
@@ -267,21 +291,22 @@ class TestRocCurveValidation:
 
 
 def recording(survival, args):
-    """survival, appending each argument it is called with to args."""
+    """survival, appending to args each argument it is called with, an array as a list."""
 
     def recorded(x):
-        args.append(x)
+        args.append(x.tolist() if isinstance(x, np.ndarray) else x)
         return survival(x)
 
     return recorded
 
 
 class TestResolvedOccupied:
+    # survivals of a float or, elementwise, of an ndarray of levels
     def survival_pf(self, x):
-        return float(gammaincc(5, x / 2.0))
+        return gammaincc(5, x / 2.0)
 
     def survival_pd(self, x):
-        return float(ncx2.sf(x, 10, 2.0 * SNR))
+        return ncx2.sf(x, 10, 2.0 * SNR)
 
     @staticmethod
     def probe_occupied_probability(pair, config, survival):
@@ -337,10 +362,15 @@ class TestResolvedOccupied:
         return min(1.0, total)
 
     def test_equals_the_every_cell_sum_at_depth_11(self):
-        # same survival arguments in the same order, and a gap that is
-        # not positive adds nothing either way, so the sums are equal
+        # the same edges in one array call as in the float calls, whose
+        # tails have the same bits, and the same gaps added in the same
+        # order (a gap that is not positive adds nothing either way), so
+        # the sums are equal
         bands = [(row.lambda_low, row.lambda_high) for row in COLLISION_ROWS]
         bands += [(12.0, 18.0), (8.0, 20.0), (7.0, 22.0), (0.5, 4.0)]
+        # 0.7 + (3.1 - 0.7) rounds off 3.1: the top edge is lambda_high itself
+        bands += [(0.7, 3.1)]
+        assert 0.7 + (3.1 - 0.7) != 3.1
         config = BisectionConfig(max_iter=11)
         for tail in (lambda x: pf_gamma(x, 5), lambda x: pd_marcum(x, SNR, 5)):
             for lo, hi in bands:
@@ -348,18 +378,53 @@ class TestResolvedOccupied:
                 got = resolved_occupied_probability(ThresholdPair(lo, hi), config, recording(tail, got_args))
                 want = self.every_cell_sum(ThresholdPair(lo, hi), config, recording(tail, want_args))
                 assert got == want, (lo, hi)
-                assert got_args == want_args and len(got_args) == 2**11 + 2
+                # the float route reads S(lambda_high) twice, then every
+                # edge from the top down; the array route reads each once
+                assert len(want_args) == 2**11 + 2 and want_args[0] == want_args[1] == hi
+                assert got_args == [want_args[:0:-1]]
 
     def test_equals_the_every_cell_sum_where_gaps_go_negative(self):
         # a survival that rises in places gives odd cells negative gaps,
         # which both sums must skip
         def wavy(x):
+            if isinstance(x, np.ndarray):
+                return np.array([wavy(v) for v in x.tolist()])
             return math.exp(-x / 8.0) * (1.0 + 0.5 * math.sin(3.0 * x)) / 1.5
 
         pair, config = ThresholdPair(2.0, 18.0), BisectionConfig(max_iter=6)
         gaps = [wavy(2.0 + k * 0.25) - wavy(2.0 + (k + 1) * 0.25) for k in range(1, 64, 2)]
         assert min(gaps) < 0.0 < max(gaps)
         assert resolved_occupied_probability(pair, config, wavy) == self.every_cell_sum(pair, config, wavy)
+
+    def test_slices_keep_the_one_slice_bits(self, monkeypatch):
+        # depth 12 is one slice of 2^12 + 1 edges; cut into slices of
+        # 2^8 cells, carrying the running total, it gives the same sum
+        pair, config = ThresholdPair(12.0, 18.0), BisectionConfig(max_iter=12)
+        for tail in (lambda x: pf_gamma(x, 5), lambda x: pd_marcum(x, SNR, 5)):
+            calls = []
+            one_slice = resolved_occupied_probability(pair, config, recording(tail, calls))
+            assert [len(levels) for levels in calls] == [2**12 + 1]
+            monkeypatch.setattr(analytic, "_SLICE_CELLS", 2**8)
+            calls = []
+            assert resolved_occupied_probability(pair, config, recording(tail, calls)) == one_slice
+            assert [len(levels) for levels in calls] == [2**8 + 1] * 2**4
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "band, snr_db, depth",
+        [((12.0, 18.0), -14.0, 16), ((630.0, 660.0), 25.0, 11)],
+    )
+    def test_memory_stays_bounded(self, band, snr_db, depth):
+        # edges go to survival 2^12 + 1 at a time, and each series
+        # chunk holds about 2^16 doubles, whatever the depth and SNR
+        snr = 10.0 ** (snr_db / 10.0)
+        tracemalloc.start()
+        try:
+            bisection_resolved_rates(ThresholdPair(*band), snr, 5, BisectionConfig(max_iter=depth))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_frozen_rates(self):
         pf, pd = bisection_resolved_rates(ThresholdPair(12.0, 18.0), SNR, 5)

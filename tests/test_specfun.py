@@ -185,11 +185,12 @@ class TestRegUpperGamma:
         # one is 0.0 too and adds nothing, so stopping there is exact
         term, partial = full_finite_sum(10**6, x)
         assert term == 0.0
-        assert specfun._finite_sum(10**6, x) == (term, partial)
+        got_term, got_partial = specfun._finite_sum(10**6, np.array([x]))
+        assert (got_term[0], got_partial[0]) == (term, partial)
         assert reg_upper_gamma(10**6, x) == min(1.0, partial)
 
     def test_top_clip_binds_where_the_finite_sum_rounds_above_one(self):
-        assert specfun._finite_sum(72, ABOVE_ONE_X)[1] == 1.0000000000000002
+        assert specfun._finite_sum(72, np.array([ABOVE_ONE_X]))[1][0] == 1.0000000000000002
         assert reg_upper_gamma(72, ABOVE_ONE_X) == 1.0
 
     def test_integral_float_order_is_accepted(self):
@@ -325,7 +326,7 @@ class TestMarcumQ:
         above_one = []
 
         def recording_gamma(order, y):
-            above_one.append(specfun._finite_sum(int(order), y)[1] > 1.0)
+            above_one.append(specfun._finite_sum(int(order), np.array([y]))[1][0] > 1.0)
             return reg_upper_gamma(order, y)
 
         monkeypatch.setattr(oracles, "reg_upper_gamma", recording_gamma)
@@ -338,3 +339,57 @@ class TestMarcumQ:
             expected = noncentral_chi2_sf_oracle(b * b, 2 * u, a * a)
             assert abs(marcum_q(u, a, b) - expected) <= 1e-8, (u, a, b)
 
+
+def levels_around(u, h):
+    """b values for one (u, SNR): zero, one whose b^2/2 underflows to 0, the
+    series grid's thresholds, and thresholds either side of b^2/2 = 700."""
+    xs = [fraction * (u + h) for fraction in SERIES_X_FRACTIONS] + [699.9, 700.0, 1000.0]
+    return np.array([0.0, 1e-170] + [math.sqrt(2.0 * x) for x in xs])
+
+
+class TestArrayArguments:
+    """An ndarray argument gives the float calls' bits, element by element."""
+
+    @pytest.mark.parametrize("u", (1, 5, 50, 500))
+    def test_array_calls_equal_the_float_calls(self, u):
+        for snr_db in (*range(-14, 29, 3), 28):
+            h = 10.0 ** (snr_db / 10.0)
+            b = levels_around(u, h)
+            for a in (0.0, math.sqrt(2.0 * h)):
+                got = marcum_q(u, a, b)
+                assert isinstance(got, np.ndarray) and got.shape == b.shape
+                assert got.tolist() == [marcum_q(u, a, v) for v in b.tolist()], (u, snr_db, a)
+            x = 0.5 * b * b
+            assert reg_upper_gamma(u, x).tolist() == [reg_upper_gamma(u, v) for v in x.tolist()], (u, snr_db)
+
+    def test_forward_sums_equal_the_scalar_loop(self):
+        # below x = 700 each element is the loop's finite sum, clipped
+        x = np.concatenate([np.linspace(0.0, 60.0, 121), np.linspace(60.0, 699.9, 33)])
+        for u in (1, 2, 5, 13, 50, 500):
+            assert reg_upper_gamma(u, x).tolist() == [min(1.0, full_finite_sum(u, v)[1]) for v in x.tolist()], u
+
+    def test_floats_give_floats_and_arrays_keep_their_shape(self):
+        assert type(marcum_q(5, 1.0, 3.0)) is float
+        assert type(reg_upper_gamma(5, 4.5)) is float
+        assert type(gaussian_q(1.0)) is float
+        b = np.array([[1.0, 2.0, 3.0], [4.0, 0.0, 50.0]])
+        assert marcum_q(5, 1.0, b).shape == reg_upper_gamma(5, b).shape == gaussian_q(b).shape == (2, 3)
+        assert gaussian_q(b).ravel().tolist() == [gaussian_q(v) for v in b.ravel().tolist()]
+        assert marcum_q(5, 1.0, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -0.5))
+    def test_arrays_refuse_what_floats_refuse(self, bad):
+        values = np.array([1.0, bad, 2.0, -1.0])
+        shown = repr(bad).replace(".", r"\.")
+        with pytest.raises(ValueError, match=f"reg_upper_gamma needs x >= 0, got {shown}$"):
+            reg_upper_gamma(5, values)
+        with pytest.raises(ValueError, match=f"marcum_q needs b >= 0, got {shown}$"):
+            marcum_q(5, 1.0, values)
+        if not math.isfinite(bad):
+            with pytest.raises(ValueError, match=f"gaussian_q needs a finite argument, got {shown}$"):
+                gaussian_q(values)
+
+    def test_budget_exhaustion_names_the_first_stalled_level(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError, match=r"marcum_q series stalled at u=5, a=20\.0, b=20\.0$"):
+            marcum_q(5, 20.0, np.array([0.0, 20.0, 40.0]))
