@@ -158,14 +158,10 @@ def pd_marcum(threshold, snr_linear: float, u: int):
 
 def double_threshold_report(pair: ThresholdPair, snr_linear: float, u: int) -> DoubleThresholdReport:
     """All five closed-form rates for one threshold pair."""
-    pd = pd_marcum(pair.lambda_high, snr_linear, u)
-    return DoubleThresholdReport(
-        pf=pf_gamma(pair.lambda_high, u),
-        pd=pd,
-        pm=1.0 - pd,
-        pc=1.0 - pd_marcum(pair.lambda_low, snr_linear, u),
-        pna=pf_gamma(pair.lambda_low, u),
-    )
+    levels = np.array([pair.lambda_high, pair.lambda_low])
+    pd_high, pd_low = pd_marcum(levels, snr_linear, u).tolist()
+    pf_high, pf_low = pf_gamma(levels, u).tolist()
+    return DoubleThresholdReport(pf=pf_high, pd=pd_high, pm=1.0 - pd_high, pc=1.0 - pd_low, pna=pf_low)
 
 
 def threshold_for_target_pf(target_pf: float, noise_variance: float, num_samples: int) -> float:

@@ -210,17 +210,23 @@ def cmd_tables(args: argparse.Namespace) -> int:
         pair = ThresholdPair(DOUBLE_BAND_LOW, DOUBLE_BAND_HIGH)
         fixture, baseline, printed_name, diff_name = _COMPARISON_TABLES[args.which]
         double = _report_columns(double_threshold_report(pair, snr, u))
-        for index, fixture_row in enumerate(fixture, start=1):
-            resolved = bisection_optimum_threshold(pair, fixture_row.sensed_energy, bisection)
-            pd_opt = pd_marcum(resolved.lambda_opt, snr, u)
+        lambda_opts = np.array(
+            [bisection_optimum_threshold(pair, row.sensed_energy, bisection).lambda_opt for row in fixture]
+        )
+        # one closed-form call per tail over every row's lambda_opt
+        pf_opts = pf_gamma(lambda_opts, u).tolist()
+        pd_opts = pd_marcum(lambda_opts, snr, u).tolist()
+        for index, (fixture_row, lambda_opt, pf_opt, pd_opt) in enumerate(
+            zip(fixture, lambda_opts.tolist(), pf_opts, pd_opts), start=1
+        ):
             rows.append(
                 [
                     ("row", index),
                     ("sensed_energy", fixture_row.sensed_energy),
                     ("lambda_low", pair.lambda_low),
                     ("lambda_high", pair.lambda_high),
-                    ("lambda_opt", resolved.lambda_opt),
-                    ("analytic_pf_opt", pf_gamma(resolved.lambda_opt, u)),
+                    ("lambda_opt", lambda_opt),
+                    ("analytic_pf_opt", pf_opt),
                     ("analytic_pd_opt", pd_opt),
                     ("analytic_pm_opt", 1.0 - pd_opt),
                     *double,

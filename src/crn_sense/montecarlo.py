@@ -13,14 +13,15 @@ idle row of whole Box-Muller pairs (every chisq row, and a sample
 window of even M) is a sum of the pairs' squared norms, r² =
 -2·log1p(-u1) whatever the angle, so it reads only the pairs' first
 uniforms and leaves the rest unread; odd-M and H1 rows square every
-normal. Every row is drawn at unit noise, with its signal in units of
-the noise, and its sum is divided by M (sample model) and multiplied
-by the noise variance once, last. A process keeps up to _MEMO_BYTES
-(32 MiB) of blocks' statistics in a least-recently-used cache keyed
-by (seed, params, model, mode, hypothesis, block index, rows), a
-partial last block under its own size, and a repeat call copies them
-instead of drawing again; a block depends on its key alone, so this
-changes time, never a bit.
+normal, each pair's two from one tangent of its half angle (see
+signal_model._box_muller). Every row is drawn at unit noise, with its
+signal in units of the noise, and its sum is divided by M (sample
+model) and multiplied by the noise variance once, last. A process
+keeps up to _MEMO_BYTES (32 MiB) of blocks' statistics in a
+least-recently-used cache keyed by (seed, params, model, mode,
+hypothesis, block index, rows), a partial last block under its own
+size, and a repeat call copies them instead of drawing again; a block
+depends on its key alone, so this changes time, never a bit.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -213,7 +214,8 @@ def _block(
     stream = (purpose << _PURPOSE_SHIFT) | index
     # an idle row of whole pairs is a sum of the pairs' squared norms,
     # r² = -2·log1p(-u1) whatever the angle, so it needs no second
-    # uniforms, no cos or sin; a signal's cross term needs every normal
+    # uniforms and no tangent; a signal's cross term needs every
+    # normal, and an odd row splits a pair with the next row
     radii_only = truth is Hypothesis.H0 and m % 2 == 0
     # cursors into the block's one stream, at the pairs' first
     # uniforms, their second ones, and a sample window's signal,

@@ -61,29 +61,39 @@ def marcum_quad_oracle(u: int, a: float, b: float) -> float:
     return float(value)
 
 
-def marcum_series_oracle(u: float, a: float, b: float) -> float:
+def marcum_series_oracle(u: float, a: float, b):
     """Marcum Q_u(a, b) by the Poisson series with one gamma call per term.
 
     sum_{k>=0} Pois(k; a^2/2) * reg_upper_gamma(u + k, b^2/2), summed
     from k = 0 with a fresh reg_upper_gamma for every term, stopping
     once 1 - (Poisson mass) <= 1e-12 * (1 + sum), within 10000 terms.
+    b is a float or an ndarray of them for the one (u, a): each term is
+    then one array call over every b, and each element stops at its
+    own first such k, so it gets the float call's bits.
     """
-    if b == 0.0:
-        return 1.0
+    levels = np.atleast_1d(np.asarray(b, dtype=float))
+    x = 0.5 * levels * levels
     if a == 0.0:
-        return reg_upper_gamma(u, 0.5 * b * b)
-    h = 0.5 * a * a
-    x = 0.5 * b * b
-    pois = math.exp(-h)
-    mass = pois
-    total = pois * reg_upper_gamma(u, x)
-    for k in range(1, 10000 + 1):
-        pois *= h / k
-        mass += pois
-        total += pois * reg_upper_gamma(u + k, x)
-        if 1.0 - mass <= 1e-12 * (1.0 + total):
-            return min(1.0, max(0.0, total))
-    raise ConvergenceError(f"series stalled at u={u!r}, a={a!r}, b={b!r}")
+        value = reg_upper_gamma(u, x)
+    else:
+        h = 0.5 * a * a
+        pois = math.exp(-h)
+        mass = pois
+        total = pois * reg_upper_gamma(u, x)
+        value = np.full(levels.shape, math.nan)
+        for k in range(1, 10000 + 1):
+            pois *= h / k
+            mass += pois
+            total = total + pois * reg_upper_gamma(u + k, x)
+            done = np.isnan(value) & (1.0 - mass <= 1e-12 * (1.0 + total))
+            value[done] = np.clip(total[done], 0.0, 1.0)
+            if not np.isnan(value).any():
+                break
+        else:
+            stalled = float(levels[np.isnan(value)][0])
+            raise ConvergenceError(f"series stalled at u={u!r}, a={a!r}, b={stalled!r}")
+    value = np.where(levels == 0.0, 1.0, value)
+    return float(value[0]) if np.ndim(b) == 0 else value.reshape(np.shape(b))
 
 
 def noncentral_chi2_sf_oracle(x: float, dof: int, noncentrality: float) -> float:

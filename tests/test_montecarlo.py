@@ -343,7 +343,12 @@ class TestBlockMemo:
 
 
 def whole_block_statistics(
-    config: TrialConfig, truth: Hypothesis, count: int, radii: bool = True, full_scale: bool = False
+    config: TrialConfig,
+    truth: Hypothesis,
+    count: int,
+    radii: bool = True,
+    tangent: bool = True,
+    full_scale: bool = False,
 ) -> np.ndarray:
     """The block fill as it was before tiling: every 1024-trial block's
     uniforms drawn in order from one generator, and the rows kept
@@ -354,8 +359,11 @@ def whole_block_statistics(
     Rows are drawn at unit noise, summed, divided by M (sample model)
     and then scaled by the noise variance. An H0 row of whole pairs
     (m even) sums the pairs' squared norms r² = -2·log1p(-u1). With
-    radii=False every row squares its cos/sin normals instead, as the
-    fill did before it used r². With full_scale=True a sample window
+    radii=False every row squares its normals instead, as the fill did
+    before it used r². The normals are r·(1 - t²) / (1 + t²) and
+    r·2t / (1 + t²) with t = tan(π·u2); with tangent=False they are
+    r·cos θ and r·sin θ with θ = 2π·u2, as the fill drew them before it
+    took one tangent per pair. With full_scale=True a sample window
     is scaled first, noise and signal each by the square root of the
     noise variance, then squared and averaged, as the fill did before
     it drew at unit noise."""
@@ -380,10 +388,16 @@ def whole_block_statistics(
             out[start : start + rows] = stats * params.noise_variance
             continue
         radius = np.sqrt(-2.0 * np.log1p(-u1))
-        angle = (2.0 * np.pi) * u2
         z = np.empty(2 * used)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        if tangent:
+            t = np.tan(np.pi * u2)
+            w = radius / (1.0 + t * t)
+            z[0::2] = w * (1.0 - t * t)
+            z[1::2] = 2.0 * w * t
+        else:
+            angle = (2.0 * np.pi) * u2
+            z[0::2] = radius * np.cos(angle)
+            z[1::2] = radius * np.sin(angle)
         z = z[: rows * m].reshape(rows, m)
         if chisq:
             if truth is Hypothesis.H1:
@@ -462,9 +476,33 @@ class TestTiledSampleFill:
             params = SensingParams(**{field: width}, noise_variance=variance)
             config = TrialConfig(num_trials=BLOCK_TRIALS, seed=1000 + width, params=params, model=model)
             got = _statistics(config, Hypothesis.H0)
-            squares = whole_block_statistics(config, Hypothesis.H0, BLOCK_TRIALS, radii=False)
+            squares = whole_block_statistics(config, Hypothesis.H0, BLOCK_TRIALS, radii=False, tangent=False)
             ulps = np.abs(got - squares) / np.spacing(squares)
             assert ulps.max() <= 8.0, (model, width, variance, ulps.max())
+
+    @pytest.mark.parametrize(
+        "model, field, width",
+        [(GenerativeModel.SAMPLE, "num_samples", m) for m in (1, 2, 7, 64, 999, 1000, 8192)]
+        + [(GenerativeModel.CHISQ, "time_bandwidth", u) for u in (1, 5, 500)],
+    )
+    def test_tangent_rows_stay_near_the_cos_sin_rows(self, model, field, width):
+        # the tangent's normals differ from r·cos θ and r·sin θ by
+        # rounding alone, so every row stays within 1e-14 of its mean:
+        # nv·(1 + snr) for a sample window, nv·(2u + 2·snr) for a chisq row
+        chisq = model is GenerativeModel.CHISQ
+        for variance, snr_db, mode, truth in itertools.product((1.0, 2.5), (-14.0, 3.0, 20.0), SignalMode, Hypothesis):
+            if truth is Hypothesis.H0 and (snr_db, mode) != (-14.0, SignalMode.BASEBAND_BPSK):
+                continue  # an H0 row holds no signal
+            if chisq and mode is not SignalMode.BASEBAND_BPSK:
+                continue  # the chisq model draws no signal mode
+            params = SensingParams(**{field: width}, snr_db=snr_db, noise_variance=variance)
+            rows = min(BLOCK_TRIALS, 2**20 // width)  # at most a block, or 2^20 samples
+            config = TrialConfig(num_trials=rows, seed=1000 + width, params=params, mode=mode, model=model)
+            got = _statistics(config, truth)
+            want = whole_block_statistics(config, truth, rows, tangent=False)
+            mean = 2.0 * (width + params.snr_linear) if chisq else 1.0 + params.snr_linear
+            drift = np.abs(got - want).max() / (variance * mean)
+            assert drift <= 1e-14, (model, width, variance, snr_db, mode, truth, drift)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 63, 64, 65, 999, 1000, 8192])
     def test_unit_noise_rows_stay_near_the_full_scale_order(self, m):

@@ -213,6 +213,26 @@ class TestStandardNormal:
         assert abs(float(z.mean())) < 0.01
         assert abs(float(z.std()) - 1.0) < 0.01
 
+    def test_tangent_normals_match_cos_and_sin(self):
+        # random pairs, and every pairing of the edge uniforms: t = tan(π·u2)
+        # is 0 at u2 = 0, 1.6e16 at u2 = 0.5, by its pole, and 3.5e15 and
+        # -2.6e15 at the doubles either side; u1 = 0 gives r = 0, and
+        # 1 - 2^-53 the largest r
+        below_one = 1.0 - 2.0**-53
+        edge_u2 = [0.0, 0.25, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 0.75, below_one]
+        edges = np.array([(u1, u2) for u1 in (0.0, below_one) for u2 in edge_u2])
+        rng = block_generator(41)
+        u1 = np.concatenate([edges[:, 0], rng.random(2**18)])
+        u2 = np.concatenate([edges[:, 1], rng.random(2**18)])
+        z = _box_muller(u1, u2)
+        assert np.isfinite(z).all()
+        r2 = -2.0 * np.log1p(-u1)
+        r = np.sqrt(r2)
+        angle = (2.0 * np.pi) * u2
+        assert np.all(np.abs(z[0::2] - r * np.cos(angle)) <= 8.0 * 2.0**-53 * r)
+        assert np.all(np.abs(z[1::2] - r * np.sin(angle)) <= 8.0 * 2.0**-53 * r)
+        assert np.all(np.abs(z[0::2] ** 2 + z[1::2] ** 2 - r2) <= 12.0 * np.spacing(r2))
+
 
 class TestBlockGenerator:
     def test_seed_range_validation(self):
