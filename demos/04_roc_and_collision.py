@@ -1,10 +1,11 @@
-"""Operating curves and the collision comparison.
+"""Operating points of the three detectors and the collision comparison.
 
-The empirical curve reuses one set of trials for every threshold
-(common random numbers), so it is monotone by construction and lines
-up with the closed form point by point. The collision sweep then
-contrasts the double detector with its bisection-resolved variant on
-the published threshold pairs.
+`roc_table` evaluates the single, double and bisection-resolved
+detectors on the same bands, each closed form next to its estimate.
+The estimates reuse one set of trials for every band and detector
+(common random numbers), so the detectors differ only through their
+thresholds. The collision sweep then contrasts the double detector
+with its bisection-resolved variant on the published threshold pairs.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from crn_sense import (
+    BisectionConfig,
     GenerativeModel,
     ThresholdPair,
     TrialConfig,
     collision_sweep,
-    roc_analytic,
-    roc_empirical,
+    roc_table,
 )
-from crn_sense.signal_model import SensingParams
 
 PAIRS = [
     ThresholdPair(12.0, 18.0),
@@ -31,15 +31,18 @@ PAIRS = [
 
 def main() -> None:
     config = TrialConfig(num_trials=50_000, seed=3, model=GenerativeModel.CHISQ)
-    grid = np.linspace(2.0, 26.0, 9)
+    # bands of width 6 whose lower level runs down from 26 to 2
+    bands = [ThresholdPair(lam, lam + 6.0) for lam in np.linspace(26.0, 2.0, 9).tolist()]
 
-    analytic = roc_analytic(grid, SensingParams(), form="gamma-marcum")
-    empirical = roc_empirical(grid, config)
-    print("single-threshold operating curve, closed form vs shared-trial estimate")
-    print(f"{'lambda':>7} {'pf':>9} {'pd':>9} {'pf_emp':>9} {'pd_emp':>9}")
-    for a, e in zip(analytic.points, empirical.points):
-        print(f"{a.threshold:7.2f} {a.pf:9.5f} {a.pd:9.5f} {e.pf:9.5f} {e.pd:9.5f}")
-    print("shared trials keep the empirical curve monotone, no crossings to explain")
+    table = roc_table(bands, config, BisectionConfig())
+    print("three detectors per band [lambda, lambda + 6], closed form vs shared-trial estimate")
+    print(f"{'lambda':>7} {'detector':>8} {'pf':>9} {'pd':>9} {'pf_emp':>9} {'pd_emp':>9}")
+    for index in range(len(bands)):
+        for name, rows in table.items():
+            point, pf, pd = rows[index]
+            print(f"{point.threshold:7.2f} {name:>8} {point.pf:9.5f} {point.pd:9.5f} {pf.rate:9.5f} {pd.rate:9.5f}")
+    print("single thresholds at the lower level, double at the upper one; the resolved")
+    print("detector settles each fuzzy reading by bisection and lands in between")
 
     rows = collision_sweep(PAIRS, [14.5], config)
     print("\ncollision with the primary user, sensed energy 14.5 in every band")

@@ -18,7 +18,6 @@ from .analytic import (
     pf_gamma,
     pf_gaussian,
     resolved_occupied_probability,
-    roc_analytic,
     tails,
     threshold_for_target_pf,
 )
@@ -42,6 +41,7 @@ from .montecarlo import (
     estimate_double,
     estimate_single,
     roc_empirical,
+    roc_table,
 )
 from .signal_model import (
     Hypothesis,
@@ -93,8 +93,8 @@ __all__ = [
     "pf_gaussian",
     "reg_upper_gamma",
     "resolved_occupied_probability",
-    "roc_analytic",
     "roc_empirical",
+    "roc_table",
     "snr_db_to_linear",
     "tails",
     "threshold_for_target_pf",

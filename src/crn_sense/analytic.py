@@ -12,7 +12,7 @@ and the caller has to pick.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "double_threshold_report",
     "threshold_for_target_pf",
     "tails",
-    "roc_analytic",
     "resolved_occupied_probability",
     "bisection_resolved_rates",
 ]
@@ -206,21 +205,6 @@ def tails(params, form: str) -> tuple[Survival, Survival]:
     else:
         raise ValueError(f"form must be 'gaussian' or 'gamma-marcum', got {form!r}")
     return idle_tail, busy_tail
-
-
-def roc_analytic(lambda_grid: Sequence[float], params, form: str = "gamma-marcum") -> RocCurve:
-    """Closed-form operating curve over a threshold grid.
-
-    params and form are as for tails. The grid may come in any order;
-    points are emitted by decreasing threshold.
-    """
-    grid = sorted(float(x) for x in lambda_grid)
-    if not grid:
-        raise ValueError("lambda_grid must be non-empty")
-    levels = np.array(grid[::-1])
-    idle_tail, busy_tail = tails(params, form)
-    rates = zip(idle_tail(levels).tolist(), busy_tail(levels).tolist(), levels.tolist())
-    return RocCurve(points=tuple(RocPoint(pf=pf, pd=pd, threshold=lam) for pf, pd, lam in rates))
 
 
 def resolved_occupied_probability(pair: ThresholdPair, config: BisectionConfig, survival: Survival) -> float:

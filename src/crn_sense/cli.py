@@ -5,6 +5,11 @@ next to their printed values, `roc` sweeps operating curves for the
 three detector variants, `collision` compares collision rates across
 threshold bands, and `bisect` shows one threshold resolution in full.
 
+A command parses its flags, calls the library and only formats the
+result: `roc` is one `roc_table` call, `collision` one
+`collision_sweep` call, `bisect` one `bisection_optimum_threshold`
+call, and `tables` lays the closed forms out beside the paper's rows.
+
 Every run is deterministic given its flags. The seed comes from
 --seed, else the CRN_SENSE_SEED environment variable, else 0. CSV
 cells use %.17g so files round-trip losslessly; a flat key=value
@@ -30,8 +35,6 @@ from .analytic import (
     double_threshold_report,
     pd_marcum,
     pf_gamma,
-    resolved_occupied_probability,
-    tails,
 )
 from .detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from .montecarlo import (
@@ -39,8 +42,7 @@ from .montecarlo import (
     RateEstimate,
     TrialConfig,
     collision_sweep,
-    count_band,
-    draw_statistics,
+    roc_table,
 )
 from .reference_tables import (
     COLLISION_ROWS,
@@ -59,9 +61,6 @@ from .signal_model import SensingParams, SignalMode
 __all__ = ["build_parser", "main"]
 
 _MODES = {"baseband": SignalMode.BASEBAND_BPSK, "carrier": SignalMode.CARRIER_BPSK}
-
-# the closed-form family that describes each generative model's statistic
-_FORMS = {"sample": "gaussian", "chisq": "gamma-marcum"}
 
 # --which -> (fixture rows, printed double-threshold value, printed rate name, difference name)
 _COMPARISON_TABLES = {
@@ -179,12 +178,6 @@ def _suffixed(path: str, suffix: str) -> str:
     return f"{root}_{suffix}{ext or '.csv'}"
 
 
-def _rate_columns(successes_h0: int, successes_h1: int, trials: int) -> list[tuple[str, float]]:
-    pf = RateEstimate(successes_h0, trials)
-    pd = RateEstimate(successes_h1, trials)
-    return [("pf_emp", pf.rate), ("pd_emp", pd.rate), ("pf_ci", pf.ci95_halfwidth), ("pd_ci", pd.ci95_halfwidth)]
-
-
 def _estimate_columns(name: str, estimate: RateEstimate) -> list[tuple[str, float]]:
     return [(name, estimate.rate), (f"{name}_ci", estimate.ci95_halfwidth)]
 
@@ -271,53 +264,28 @@ def cmd_roc(args: argparse.Namespace) -> int:
     start = time.monotonic()
     seed = _resolve_seed(args.seed)
     config = _trial_config(args, seed)
-    params = config.params
     grid = _parse_grid(args.grid)
     band_width = args.lambda_high - args.lambda_low
     if band_width < 0.0:
         raise ValueError("lambda_high must be >= lambda_low")
     bisection = BisectionConfig(max_iter=args.max_iter)
-    # pairs and closed forms come before the draw, so that an invalid
-    # level or a numeric failure costs no Monte Carlo time
     pairs = [ThresholdPair(lam, lam + band_width) for lam in sorted(grid, reverse=True)]
     # the closed forms read each level in units of the noise variance
     top = pairs[0].lambda_high
-    if not math.isfinite(top / params.noise_variance):
+    noise_variance = config.params.noise_variance
+    if not math.isfinite(top / noise_variance):
         raise ValueError(
-            f"--noise-var {params.noise_variance!r} is too small for level {top!r}: "
-            "their ratio is no finite double"
+            f"--noise-var {noise_variance!r} is too small for level {top!r}: their ratio is no finite double"
         )
-    idle_tail, busy_tail = tails(params, _FORMS[args.model])
-    # every band's lower level, then every upper one, in one call per tail
-    levels = np.array([pair.lambda_low for pair in pairs] + [pair.lambda_high for pair in pairs])
-    edge_rates = list(zip(idle_tail(levels).tolist(), busy_tail(levels).tolist()))
-    curves: dict[str, list[list[tuple[str, float]]]] = {"single": [], "double": [], "optimum": []}
-    for index, pair in enumerate(pairs):
-        analytic = {
-            "single": edge_rates[index],
-            "double": edge_rates[len(pairs) + index],
-            "optimum": (
-                resolved_occupied_probability(pair, bisection, idle_tail),
-                resolved_occupied_probability(pair, bisection, busy_tail),
-            ),
-        }
-        for suffix, (pf, pd) in analytic.items():
-            curves[suffix].append([("lambda", pair.lambda_low), ("pf_analytic", pf), ("pd_analytic", pd)])
-    stats_h0, stats_h1 = draw_statistics(config)
-    trials = config.num_trials
-    for index, pair in enumerate(pairs):
-        level = ThresholdPair(pair.lambda_low, pair.lambda_low)
-        band0 = count_band(stats_h0, pair, bisection)
-        band1 = count_band(stats_h1, pair, bisection)
-        single0 = count_band(stats_h0, level).above
-        single1 = count_band(stats_h1, level).above
-        curves["single"][index] += _rate_columns(single0, single1, trials)
-        curves["double"][index] += _rate_columns(band0.above, band1.above, trials)
-        curves["optimum"][index] += _rate_columns(band0.resolved_occupied, band1.resolved_occupied, trials)
     outputs = []
-    for suffix, rows in curves.items():
+    for suffix, rows in roc_table(pairs, config, bisection).items():
         path = _suffixed(args.out, suffix)
-        _write_csv(path, rows)
+        columns = [
+            [("lambda", point.threshold), ("pf_analytic", point.pf), ("pd_analytic", point.pd),
+             ("pf_emp", pf.rate), ("pd_emp", pd.rate), ("pf_ci", pf.ci95_halfwidth), ("pd_ci", pd.ci95_halfwidth)]
+            for point, pf, pd in rows
+        ]
+        _write_csv(path, columns)
         outputs.append(path)
     _write_manifest(args.out, "roc", _flag_parameters(args, seed=seed), outputs, time.monotonic() - start)
     return 0

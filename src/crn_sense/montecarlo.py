@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import RocCurve, RocPoint
+from .analytic import RocCurve, RocPoint, resolved_occupied_probability, tails
 from .detector import BisectionConfig, ThresholdPair, _midpoints, bisection_optimum_threshold
 from .signal_model import (
     Hypothesis,
@@ -71,6 +71,7 @@ __all__ = [
     "estimate_single",
     "estimate_double",
     "roc_empirical",
+    "roc_table",
     "collision_sweep",
 ]
 
@@ -90,6 +91,10 @@ class GenerativeModel(enum.Enum):
 
     SAMPLE = "sample"
     CHISQ = "chisq"
+
+
+# the closed-form family that describes each generative model's statistic
+_FORMS = {GenerativeModel.SAMPLE: "gaussian", GenerativeModel.CHISQ: "gamma-marcum"}
 
 
 @dataclass(frozen=True)
@@ -426,6 +431,47 @@ def roc_empirical(lambda_grid: Sequence[float], config: TrialConfig) -> RocCurve
         pd = count_band(stats_h1, level).above / config.num_trials
         points.append(RocPoint(pf=pf, pd=pd, threshold=level.lambda_low))
     return RocCurve(points=tuple(points))
+
+
+def roc_table(
+    pairs: Sequence[ThresholdPair],
+    config: TrialConfig,
+    bisection: BisectionConfig,
+) -> dict[str, list[tuple[RocPoint, RateEstimate, RateEstimate]]]:
+    """Closed-form and empirical operating points of the three detectors.
+
+    Returns {"single" | "double" | "optimum": rows}, one row per pair in
+    the given order: the closed-form RocPoint at threshold lambda_low,
+    then the H0 and H1 counts. "single" thresholds at lambda_low,
+    "double" at lambda_high, and "optimum" bisects the fuzzy trials.
+    The closed forms are config.model's family, and every variant is
+    counted on one draw per hypothesis.
+    """
+    if not pairs:
+        raise ValueError("pairs must be non-empty")
+    # closed forms before the draw, so that an invalid level or a numeric
+    # failure costs no trials: every band's lower level, then every upper
+    # one, in one call per tail, then each band's resolved detector
+    survivals = tails(config.params, _FORMS[config.model])
+    levels = np.array([pair.lambda_low for pair in pairs] + [pair.lambda_high for pair in pairs])
+    pf_edges, pd_edges = (survival(levels).tolist() for survival in survivals)
+    resolved = [[resolved_occupied_probability(pair, bisection, survival) for survival in survivals] for pair in pairs]
+    draws = draw_statistics(config)
+    trials, upper = config.num_trials, len(pairs)
+    table = {"single": [], "double": [], "optimum": []}
+    for index, pair in enumerate(pairs):
+        level = ThresholdPair(pair.lambda_low, pair.lambda_low)
+        single = [count_band(stats, level).above for stats in draws]
+        band0, band1 = (count_band(stats, pair, bisection) for stats in draws)
+        variants = {
+            "single": (pf_edges[index], pd_edges[index], *single),
+            "double": (pf_edges[upper + index], pd_edges[upper + index], band0.above, band1.above),
+            "optimum": (*resolved[index], band0.resolved_occupied, band1.resolved_occupied),
+        }
+        for name, (pf, pd, h0, h1) in variants.items():
+            point = RocPoint(pf=pf, pd=pd, threshold=pair.lambda_low)
+            table[name].append((point, RateEstimate(h0, trials), RateEstimate(h1, trials)))
+    return table
 
 
 def collision_sweep(

@@ -4,9 +4,11 @@ The random number generator is pinned: Philox (a named, counter-based,
 64-bit algorithm) keyed directly by (seed, stream), with Gaussian
 variates produced by the Box-Muller transform, each pair's cosine and
 sine taken from one tangent of the half angle. Box-Muller consumes a
-fixed number of uniforms per draw, so streams never drift between
-platforms or between sequential and parallel execution orders. Draw
-order fixes which uniform feeds which variate: every pair's first
+fixed number of uniforms per draw, so the uniforms never drift between
+platforms or execution orders; the normals' bits, from numpy's log1p
+and tan, hold within one numpy SIMD dispatch level, and counts against
+thresholds on every CPU unless a statistic sits within ulps of one.
+Draw order fixes which uniform feeds which variate: every pair's first
 uniform, then every second one, then an H1 window's BPSK uniforms,
 row by row. A reader that needs only some of them, as an idle
 window's squared norms need only the pairs' first uniforms, leaves

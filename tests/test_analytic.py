@@ -28,7 +28,6 @@ from crn_sense.analytic import (
     pf_gamma,
     pf_gaussian,
     resolved_occupied_probability,
-    roc_analytic,
     tails,
     threshold_for_target_pf,
 )
@@ -211,47 +210,6 @@ class TestDoubleThresholdReport:
             DoubleThresholdReport(pf=1.2, pd=0.2, pm=0.8, pc=0.0, pna=0.0)
 
 
-class TestRocAnalytic:
-    def test_matches_point_functions_gamma(self):
-        params = SensingParams()
-        grid = [6.0 + 0.5 * k for k in range(40)]
-        curve = roc_analytic(grid, params, form="gamma-marcum")
-        assert len(curve) == 40
-        for point in curve.points:
-            scaled = point.threshold / params.noise_variance
-            assert point.pf == pf_gamma(scaled, params.time_bandwidth)
-            assert point.pd == pd_marcum(scaled, params.snr_linear, params.time_bandwidth)
-
-    def test_matches_point_functions_gaussian(self):
-        params = SensingParams(num_samples=500)
-        grid = [0.8 + 0.01 * k for k in range(60)]
-        curve = roc_analytic(grid, params, form="gaussian")
-        for point in curve.points:
-            assert point.pf == pf_gaussian(point.threshold, params.noise_variance, 500)
-            assert point.pd == pd_gaussian(point.threshold, params.noise_variance, params.snr_linear, 500)
-
-    def test_grid_order_does_not_matter(self):
-        params = SensingParams()
-        shuffled = [14.0, 9.0, 17.0, 12.0, 10.5]
-        curve = roc_analytic(shuffled, params)
-        thresholds = [p.threshold for p in curve.points]
-        assert thresholds == [17.0, 14.0, 12.0, 10.5, 9.0]
-
-    def test_rates_nondecreasing(self):
-        params = SensingParams()
-        curve = roc_analytic([2.0 + 0.25 * k for k in range(80)], params)
-        pfs = [p.pf for p in curve.points]
-        pds = [p.pd for p in curve.points]
-        assert pfs == sorted(pfs)
-        assert pds == sorted(pds)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            roc_analytic([], SensingParams())
-        with pytest.raises(ValueError):
-            roc_analytic([1.0], SensingParams(), form="bogus")
-
-
 class TestTails:
     @pytest.mark.parametrize("form", ("gaussian", "gamma-marcum"))
     def test_array_levels_give_the_float_bits(self, form):
@@ -261,6 +219,10 @@ class TestTails:
             got = survival(levels)
             assert isinstance(got, np.ndarray)
             assert got.tolist() == [survival(x) for x in levels.tolist()]
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match="form must be 'gaussian' or 'gamma-marcum', got 'bogus'"):
+            tails(SensingParams(), "bogus")
 
     def test_array_levels_are_checked(self):
         levels = np.array([12.0, -1.0, math.nan])

@@ -339,7 +339,7 @@ class TestExitCodes:
         def no_draw(*args, **kwargs):
             raise AssertionError("trials drawn before the failure")
 
-        monkeypatch.setattr(cli, "draw_statistics", no_draw)
+        monkeypatch.setattr(montecarlo, "draw_statistics", no_draw)
         out = str(tmp_path / "r.csv")
         # a negative lower level is rejected; a 30 dB Marcum series fails
         assert main(["roc", "--model", "sample", "--grid=-1:1:3", "--trials", "20000", "--out", out]) == 2
@@ -354,7 +354,7 @@ class TestExitCodes:
         def no_draw(*args, **kwargs):
             raise AssertionError("trials drawn before the failure")
 
-        monkeypatch.setattr(cli, "draw_statistics", no_draw)
+        monkeypatch.setattr(montecarlo, "draw_statistics", no_draw)
         out = str(tmp_path / "r.csv")
         # the top level 20 + 6 over 1e-320 overflows; the closed forms
         # reported it as an inf threshold
@@ -369,7 +369,7 @@ class TestExitCodes:
         def no_draw(*args, **kwargs):
             raise AssertionError("trials drawn before the failure")
 
-        monkeypatch.setattr(cli, "draw_statistics", no_draw)
+        monkeypatch.setattr(montecarlo, "draw_statistics", no_draw)
         table = str(tmp_path / "t.csv")
         assert main(["tables", "--which", "2", "--u", "2000000", "--out", table]) == 2
         err = capsys.readouterr().err
@@ -401,7 +401,7 @@ class TestExitCodes:
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
 
-        monkeypatch.setattr(cli, "draw_statistics", no_memory)
+        monkeypatch.setattr(montecarlo, "draw_statistics", no_memory)
         out = str(tmp_path / "r.csv")
         assert main(["roc", "--trials", "1000000000000", "--out", out]) == 1
         err = capsys.readouterr().err
@@ -412,7 +412,7 @@ class TestExitCodes:
         def no_draw(*args, **kwargs):
             raise AssertionError("trials drawn before the failure")
 
-        monkeypatch.setattr(cli, "draw_statistics", no_draw)
+        monkeypatch.setattr(montecarlo, "draw_statistics", no_draw)
         out = str(tmp_path / "r.csv")
         # the top grid level comes first: the 12..18 width at 30
         assert main(["roc", "--max-iter", "60", "--out", out]) == 2

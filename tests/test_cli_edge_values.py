@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crn_sense import cli, montecarlo
+from crn_sense import montecarlo
 from crn_sense.cli import main
 
 EDGES = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e308")
@@ -78,7 +78,6 @@ def ten_statistics(config, n_h0=None, n_h1=None):
 @pytest.mark.parametrize("name, flag, values", CASES)
 def test_edge_values_exit_cleanly(name, flag, values, tmp_path, monkeypatch, capsys):
     if flag in SIZES_ALLOCATION:
-        monkeypatch.setattr(cli, "draw_statistics", ten_statistics)
         monkeypatch.setattr(montecarlo, "draw_statistics", ten_statistics)
     prefix = COMMANDS[name][0]
     out = [] if name == "bisect" else ["--out", str(tmp_path / "out.csv")]

@@ -26,11 +26,19 @@ from scipy.special import gammaincc
 from scipy.stats import chi2, ncx2
 
 from crn_sense import montecarlo
+from crn_sense.analytic import (
+    RocPoint,
+    pd_gaussian,
+    pd_marcum,
+    pf_gamma,
+    pf_gaussian,
+    resolved_occupied_probability,
+    tails,
+)
 from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from crn_sense.montecarlo import (
     BLOCK_TRIALS,
     CollisionRow,
-    EmpiricalReport,
     GenerativeModel,
     RateEstimate,
     TrialConfig,
@@ -41,6 +49,7 @@ from crn_sense.montecarlo import (
     estimate_double,
     estimate_single,
     roc_empirical,
+    roc_table,
 )
 from crn_sense.signal_model import Hypothesis, SensingParams, SignalMode, block_generator, bpsk_matrix
 from oracles import order_rule_threshold, verdict_oracle
@@ -855,6 +864,91 @@ class TestRocEmpirical:
         # as in estimate_single: the statistic is an energy, never negative
         with pytest.raises(ValueError):
             roc_empirical([-1.0, 2.0], self.CONFIG)
+
+
+class TestRocTable:
+    CHISQ = TrialConfig(num_trials=3000, seed=23, model=GenerativeModel.CHISQ)
+    SAMPLE = TrialConfig(num_trials=2000, seed=23, params=SensingParams(num_samples=200), model=GenerativeModel.SAMPLE)
+    # a wide and a narrow band with fuzzy trials, a degenerate (lam, lam)
+    # pair and a band below every statistic, given unsorted
+    CASES = {
+        "chisq": (CHISQ, "gamma-marcum", [ThresholdPair(12.0, 18.0), ThresholdPair(20.0, 21.5),
+                                          ThresholdPair(9.0, 9.0), ThresholdPair(0.0, 0.5)]),
+        "sample": (SAMPLE, "gaussian", [ThresholdPair(0.95, 1.05), ThresholdPair(1.2, 1.25),
+                                        ThresholdPair(1.0, 1.0), ThresholdPair(0.0, 0.1)]),
+    }
+
+    @pytest.mark.parametrize("model", ["chisq", "sample"])
+    def test_rows_equal_the_per_band_oracle(self, model):
+        config, form, pairs = self.CASES[model]
+        bisection = BisectionConfig(max_iter=5)
+        table = roc_table(pairs, config, bisection)
+        idle_tail, busy_tail = tails(config.params, form)
+        stats = draw_statistics(config)
+        trials = config.num_trials
+        want = {"single": [], "double": [], "optimum": []}
+        fuzzy = 0
+        for pair in pairs:
+            level = ThresholdPair(pair.lambda_low, pair.lambda_low)
+            single = [count_band(s, level).above for s in stats]
+            bands = [count_band(s, pair, bisection) for s in stats]
+            fuzzy += sum(band.inside for band in bands)
+            closed = {
+                "single": (idle_tail(pair.lambda_low), busy_tail(pair.lambda_low)),
+                "double": (idle_tail(pair.lambda_high), busy_tail(pair.lambda_high)),
+                "optimum": tuple(resolved_occupied_probability(pair, bisection, t) for t in (idle_tail, busy_tail)),
+            }
+            counts = {
+                "single": single,
+                "double": [band.above for band in bands],
+                "optimum": [band.resolved_occupied for band in bands],
+            }
+            for name, (pf, pd) in closed.items():
+                h0, h1 = counts[name]
+                point = RocPoint(pf=pf, pd=pd, threshold=pair.lambda_low)
+                want[name].append((point, RateEstimate(h0, trials), RateEstimate(h1, trials)))
+        assert fuzzy > 0
+        assert table == want
+
+    def test_single_column_matches_point_functions_gamma(self):
+        params = self.CHISQ.params
+        pairs = [ThresholdPair(lam, lam + 6.0) for lam in (6.0 + 0.5 * k for k in range(40))]
+        rows = roc_table(pairs, self.CHISQ, BisectionConfig())["single"]
+        assert len(rows) == 40
+        for (point, _, _), pair in zip(rows, pairs):
+            assert point.threshold == pair.lambda_low
+            assert point.pf == pf_gamma(point.threshold, params.time_bandwidth)
+            assert point.pd == pd_marcum(point.threshold, params.snr_linear, params.time_bandwidth)
+
+    def test_single_column_matches_point_functions_gaussian(self):
+        params = self.SAMPLE.params
+        pairs = [ThresholdPair(lam, lam + 0.05) for lam in (0.8 + 0.01 * k for k in range(60))]
+        for point, _, _ in roc_table(pairs, self.SAMPLE, BisectionConfig())["single"]:
+            assert point.pf == pf_gaussian(point.threshold, params.noise_variance, 200)
+            assert point.pd == pd_gaussian(point.threshold, params.noise_variance, params.snr_linear, 200)
+
+    def test_single_rates_nondecreasing_down_the_grid(self):
+        pairs = [ThresholdPair(lam, lam + 6.0) for lam in (21.75 - 0.25 * k for k in range(80))]
+        points = [point for point, _, _ in roc_table(pairs, self.CHISQ, BisectionConfig())["single"]]
+        pfs = [p.pf for p in points]
+        pds = [p.pd for p in points]
+        assert pfs == sorted(pfs)
+        assert pds == sorted(pds)
+
+    def test_closed_form_failures_cost_no_trials(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("trials drawn before the failure")
+
+        monkeypatch.setattr(montecarlo, "draw_statistics", no_draw)
+        loud = replace(self.CHISQ, params=SensingParams(snr_db=30.0))
+        with pytest.raises(ArithmeticError, match="28.50 dB"):
+            roc_table([ThresholdPair(12.0, 18.0)], loud, BisectionConfig())
+        with pytest.raises(ValueError, match="max_iter=60 splits band 30.0..36.0"):
+            roc_table([ThresholdPair(30.0, 36.0), ThresholdPair(12.0, 18.0)], self.CHISQ, BisectionConfig(max_iter=60))
+
+    def test_empty_pairs_rejected(self):
+        with pytest.raises(ValueError, match="pairs must be non-empty"):
+            roc_table([], self.CHISQ, BisectionConfig())
 
 
 class TestCollisionSweep:
