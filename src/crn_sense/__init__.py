@@ -37,6 +37,7 @@ from .montecarlo import (
     TrialConfig,
     collision_sweep,
     count_band,
+    count_bands,
     draw_statistics,
     estimate_double,
     estimate_single,
@@ -80,6 +81,7 @@ __all__ = [
     "bisection_resolved_rates",
     "collision_sweep",
     "count_band",
+    "count_bands",
     "double_threshold_report",
     "draw_statistics",
     "estimate_double",

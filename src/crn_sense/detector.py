@@ -10,7 +10,7 @@ Three detectors share the energy statistic T = (1/M) sum |y(n)|^2:
   bisecting the band toward the energy itself and comparing against
   the final midpoint.
 
-montecarlo.count_band applies these rules to an array of statistics
+montecarlo.count_bands applies these rules to an array of statistics
 and is the one place they are coded; this module holds the levels and
 the bisection.
 
@@ -92,20 +92,42 @@ class BisectionResult:
     trace: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _midpoints(pair: ThresholdPair, energies, config: BisectionConfig) -> Iterator:
-    """The max_iter midpoints toward `energies`, one float or an ndarray of them.
+def _midpoints(low, high, energies, steps: int) -> Iterator:
+    """The `steps` midpoints toward `energies` from the brackets [low, high].
 
-    low <= mid, so low - e and mid - e have opposite signs exactly when
-    low < e < mid; only then does high move down to mid.
+    Each argument is one float or an ndarray of them; a bracket is a
+    band's own or one a shallower walk reached. Only low < e < mid
+    moves high down to mid; every other energy moves low up to it.
     """
-    low, high = pair.lambda_low, pair.lambda_high
-    huge = high > _HALF_MAX  # else no low + high can overflow
-    for _ in range(config.max_iter):
-        mid = _halfway(low, high) if huge else (low + high) / 2.0
+    huge = np.any(np.greater(high, _HALF_MAX))  # else no low + high can overflow
+    for _ in range(steps):
+        mid = _midpoint(low, high, huge)
         lower = (low < energies) & (energies < mid)
         high = np.where(lower, mid, high)
         low = np.where(lower, low, mid)
         yield mid
+
+
+def _cell_edges(low: float, high: float, depth: int) -> np.ndarray:
+    """The 2^depth + 1 edges of the bisection's cells on [low, high], in order.
+
+    Level by level each cell splits at the midpoint _midpoints takes
+    there, so an energy strictly between two neighbouring edges walks
+    down to the cell they bound.
+    """
+    huge = high > _HALF_MAX
+    edges = np.array([low, high])
+    for _ in range(depth):
+        split = np.empty(2 * edges.size - 1)
+        split[::2] = edges
+        split[1::2] = _midpoint(edges[:-1], edges[1:], huge)
+        edges = split
+    return edges
+
+
+def _midpoint(low, high, huge):
+    """(low + high) / 2, through _halfway if some high exceeds _HALF_MAX."""
+    return _halfway(low, high) if huge else (low + high) / 2.0
 
 
 def _halfway(low, high):
@@ -140,6 +162,7 @@ def bisection_optimum_threshold(
             f"energy {energy!r} outside the fuzzy band "
             f"[{pair.lambda_low!r}, {pair.lambda_high!r}]"
         )
-    trace = tuple(float(mid) for mid in _midpoints(pair, energy, config))
+    mids = _midpoints(pair.lambda_low, pair.lambda_high, energy, config.max_iter)
+    trace = tuple(float(mid) for mid in mids)
     return BisectionResult(lambda_opt=trace[-1], trace=trace)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import RocCurve, RocPoint, resolved_occupied_probability, tails
-from .detector import BisectionConfig, ThresholdPair, _midpoints, bisection_optimum_threshold
+from .detector import BisectionConfig, ThresholdPair, _cell_edges, _midpoints, bisection_optimum_threshold
 from .signal_model import (
     Hypothesis,
     SensingParams,
@@ -68,6 +68,7 @@ __all__ = [
     "CollisionRow",
     "draw_statistics",
     "count_band",
+    "count_bands",
     "estimate_single",
     "estimate_double",
     "roc_empirical",
@@ -318,18 +319,70 @@ def draw_statistics(
     return _statistics(config, Hypothesis.H0, n_h0), _statistics(config, Hypothesis.H1, n_h1)
 
 
+def count_bands(
+    stats: np.ndarray, pairs: Sequence[ThresholdPair], bisection: BisectionConfig | None = None
+) -> list[BandCounts]:
+    """Verdict counts of `stats` against each pair; resolves fuzzy trials given a bisection.
+
+    One sorted copy of `stats` serves every pair, so count all of one
+    array's pairs in one call. In that copy a band's Idle, Fuzzy and
+    Occupied trials are three slices, found by binary search at
+    lambda_low (side "left", as stat < lambda_low) and at lambda_high
+    (side "right", as stat > lambda_high). A NaN sorts last; no
+    comparison calls it Idle or Occupied, so it counts as Fuzzy, and
+    it is never resolved Occupied.
+    """
+    ordered = np.sort(stats, axis=None)
+    below = np.searchsorted(ordered, [pair.lambda_low for pair in pairs], "left")
+    top = np.searchsorted(ordered, [pair.lambda_high for pair in pairs], "right")
+    above = np.searchsorted(ordered, np.nan) - top
+    counts = []
+    for pair, start, stop, over in zip(pairs, below.tolist(), top.tolist(), above.tolist()):
+        resolved = None
+        if bisection is not None:
+            resolved = over + _resolved_count(ordered[start:stop], pair, bisection.max_iter)
+        inside = ordered.size - over - start
+        counts.append(BandCounts(above=over, below=start, inside=inside, resolved_occupied=resolved))
+    return counts
+
+
 def count_band(stats: np.ndarray, pair: ThresholdPair, bisection: BisectionConfig | None = None) -> BandCounts:
-    """Verdict counts of `stats` against `pair`; resolves fuzzy trials given a bisection."""
-    occupied, idle, fuzzy = _band_masks(stats, pair)
-    resolved = None
-    if bisection is not None:
-        resolved = int(np.count_nonzero(_resolve_occupied(stats, occupied, fuzzy, pair, bisection)))
-    return BandCounts(
-        above=int(np.count_nonzero(occupied)),
-        below=int(np.count_nonzero(idle)),
-        inside=int(np.count_nonzero(fuzzy)),
-        resolved_occupied=resolved,
-    )
+    """count_bands for one pair."""
+    return count_bands(stats, [pair], bisection)[0]
+
+
+def _resolved_count(fuzzy: np.ndarray, pair: ThresholdPair, depth: int) -> int:
+    """How many of a band's sorted fuzzy statistics the bisection resolves Occupied.
+
+    An energy strictly between two neighbouring edges of _cell_edges
+    walked down to their cell. One tied with an edge other than
+    lambda_high went up at that edge's step and at every later one, so
+    it ends Idle; one on lambda_high went up at every step, into the
+    top cell. At full depth an odd cell kept the upper half of its last
+    bracket, so the Occupied energies are those strictly inside an odd
+    cell, and those on lambda_high if it lies above the last midpoint.
+    The cells are enumerated only while there are no more of them than
+    energies; past that level each energy finishes in _midpoints from
+    its cell.
+    """
+    if fuzzy.size == 0:
+        return 0
+    level = min(depth, fuzzy.size.bit_length() - 1)
+    edges = _cell_edges(pair.lambda_low, pair.lambda_high, level)
+    # each cell's energies: those strictly inside, and in the top cell
+    # those on lambda_high too; a cell of equal edges holds none
+    starts = np.searchsorted(fuzzy, edges[:-1], "right")
+    stops = np.searchsorted(fuzzy, edges[1:], "left")
+    stops[-1] = fuzzy.size
+    sizes = np.maximum(stops - starts, 0)
+    if level == depth:
+        return int(sizes[1::2].sum())
+    # the energies cell by cell, each next to its cell's ends
+    offsets = np.cumsum(sizes) - sizes
+    energies = fuzzy[np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)]
+    for mid in _midpoints(np.repeat(edges[:-1], sizes), np.repeat(edges[1:], sizes), energies, depth - level):
+        pass  # only the last midpoint decides
+    return int(np.count_nonzero(energies > mid))
 
 
 def estimate_single(threshold: float, config: TrialConfig, truth: Hypothesis) -> RateEstimate:
@@ -338,13 +391,6 @@ def estimate_single(threshold: float, config: TrialConfig, truth: Hypothesis) ->
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     counts = count_band(_statistics(config, truth), ThresholdPair(threshold, threshold))
     return RateEstimate(successes=counts.above, trials=config.num_trials)
-
-
-def _band_masks(stats: np.ndarray, pair: ThresholdPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    occupied = stats > pair.lambda_high
-    idle = stats < pair.lambda_low
-    fuzzy = ~(occupied | idle)
-    return occupied, idle, fuzzy
 
 
 def _split_trials(num_trials: int) -> tuple[int, int]:
@@ -398,22 +444,6 @@ def estimate_double(
     )
 
 
-def _resolve_occupied(
-    stats: np.ndarray,
-    occupied: np.ndarray,
-    fuzzy: np.ndarray,
-    pair: ThresholdPair,
-    bisection: BisectionConfig,
-) -> np.ndarray:
-    final = occupied.copy()
-    if fuzzy.any():
-        fuzzy_stats = stats[fuzzy]
-        for resolved in _midpoints(pair, fuzzy_stats, bisection):
-            pass  # only the last midpoint decides
-        final[fuzzy] = fuzzy_stats > resolved
-    return final
-
-
 def roc_empirical(lambda_grid: Sequence[float], config: TrialConfig) -> RocCurve:
     """Empirical single-threshold operating curve.
 
@@ -424,12 +454,11 @@ def roc_empirical(lambda_grid: Sequence[float], config: TrialConfig) -> RocCurve
     levels = [ThresholdPair(lam, lam) for lam in sorted((float(x) for x in lambda_grid), reverse=True)]
     if not levels:
         raise ValueError("lambda_grid must be non-empty")
-    stats_h0, stats_h1 = draw_statistics(config)
-    points = []
-    for level in levels:
-        pf = count_band(stats_h0, level).above / config.num_trials
-        pd = count_band(stats_h1, level).above / config.num_trials
-        points.append(RocPoint(pf=pf, pd=pd, threshold=level.lambda_low))
+    h0, h1 = (count_bands(stats, levels) for stats in draw_statistics(config))
+    points = [
+        RocPoint(pf=idle.above / config.num_trials, pd=busy.above / config.num_trials, threshold=level.lambda_low)
+        for level, idle, busy in zip(levels, h0, h1)
+    ]
     return RocCurve(points=tuple(points))
 
 
@@ -456,17 +485,17 @@ def roc_table(
     levels = np.array([pair.lambda_low for pair in pairs] + [pair.lambda_high for pair in pairs])
     pf_edges, pd_edges = (survival(levels).tolist() for survival in survivals)
     resolved = [[resolved_occupied_probability(pair, bisection, survival) for survival in survivals] for pair in pairs]
-    draws = draw_statistics(config)
+    # as in levels: every band's lower level as a single threshold, then every band
+    bands = [ThresholdPair(pair.lambda_low, pair.lambda_low) for pair in pairs] + list(pairs)
+    counts0, counts1 = (count_bands(stats, bands, bisection) for stats in draw_statistics(config))
     trials, upper = config.num_trials, len(pairs)
     table = {"single": [], "double": [], "optimum": []}
     for index, pair in enumerate(pairs):
-        level = ThresholdPair(pair.lambda_low, pair.lambda_low)
-        single = [count_band(stats, level).above for stats in draws]
-        band0, band1 = (count_band(stats, pair, bisection) for stats in draws)
+        single, band = index, upper + index
         variants = {
-            "single": (pf_edges[index], pd_edges[index], *single),
-            "double": (pf_edges[upper + index], pd_edges[upper + index], band0.above, band1.above),
-            "optimum": (*resolved[index], band0.resolved_occupied, band1.resolved_occupied),
+            "single": (pf_edges[single], pd_edges[single], counts0[single].above, counts1[single].above),
+            "double": (pf_edges[band], pd_edges[band], counts0[band].above, counts1[band].above),
+            "optimum": (*resolved[index], counts0[band].resolved_occupied, counts1[band].resolved_occupied),
         }
         for name, (pf, pd, h0, h1) in variants.items():
             point = RocPoint(pf=pf, pd=pd, threshold=pair.lambda_low)
@@ -503,10 +532,9 @@ def collision_sweep(
     resolved = [bisection_optimum_threshold(pair, energy, bisection) for pair, energy in zip(pairs, scenarios)]
     n_h0, n_h1 = _split_trials(config.num_trials)
     stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
+    counts = zip(count_bands(stats_h0, pairs), count_bands(stats_h1, pairs, bisection))
     rows = []
-    for pair, result in zip(pairs, resolved):
-        h0 = count_band(stats_h0, pair)
-        h1 = count_band(stats_h1, pair, bisection)
+    for pair, result, (h0, h1) in zip(pairs, resolved, counts):
         rows.append(
             CollisionRow(
                 pair=pair,

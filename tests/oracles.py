@@ -10,6 +10,7 @@ bit equality from the faster way marcum_q sums the same series.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -96,15 +97,18 @@ def marcum_series_oracle(u: float, a: float, b):
     return float(value[0]) if np.ndim(b) == 0 else value.reshape(np.shape(b))
 
 
-def noncentral_chi2_sf_oracle(x: float, dof: int, noncentrality: float) -> float:
-    """Noncentral chi-square survival via scipy.stats."""
+def noncentral_chi2_sf_oracle(x, dof: int, noncentrality: float):
+    """Noncentral chi-square survival via scipy.stats, of a float or elementwise of an ndarray."""
     if noncentrality == 0.0:
-        return float(stats.chi2.sf(x, dof))
-    return float(stats.ncx2.sf(x, dof, noncentrality))
+        value = stats.chi2.sf(x, dof)
+    else:
+        value = stats.ncx2.sf(x, dof, noncentrality)
+    return float(value) if np.ndim(x) == 0 else value
 
 
-def sample_energy_sf_oracle(lam: float, num_samples: int, noise_variance: float, snr_linear: float) -> float:
-    """Exact tail of the averaged-energy statistic for the sample model.
+def sample_energy_sf_oracle(lam, num_samples: int, noise_variance: float, snr_linear: float):
+    """Exact tail of the averaged-energy statistic for the sample model,
+    at a float level or elementwise at an ndarray of them.
 
     Under H0, num_samples * T / noise_variance is central chi-square
     with num_samples degrees of freedom; under H1 with a constant
@@ -115,16 +119,32 @@ def sample_energy_sf_oracle(lam: float, num_samples: int, noise_variance: float,
     return noncentral_chi2_sf_oracle(scaled, num_samples, num_samples * snr_linear)
 
 
-def order_rule_threshold(low: float, high: float, energy: float, max_iter: int) -> float:
-    """The resolved threshold by a plain loop of the order rule, for one
-    energy, each midpoint the exact one rounded once."""
+@functools.lru_cache(maxsize=2**16)
+def _exact_midpoint(low: float, high: float) -> float:
+    """(low + high) / 2 computed exactly and rounded once.
+
+    Cached: walks toward nearby energies share their first brackets,
+    and a walk whose midpoints stopped moving repeats its last one.
+    """
+    return float((Fraction(low) + Fraction(high)) / 2)
+
+
+def order_rule_trace(low: float, high: float, energy: float, max_iter: int) -> list[float]:
+    """Every midpoint of a plain loop of the order rule toward one energy."""
+    trace = []
     for _ in range(max_iter):
-        mid = float((Fraction(low) + Fraction(high)) / 2)
+        mid = _exact_midpoint(low, high)
         if low < energy < mid:
             high = mid
         else:
             low = mid
-    return mid
+        trace.append(mid)
+    return trace
+
+
+def order_rule_threshold(low: float, high: float, energy: float, max_iter: int) -> float:
+    """The resolved threshold by the order rule: its walk's last midpoint."""
+    return order_rule_trace(low, high, energy, max_iter)[-1]
 
 
 def verdict_oracle(energy: float, low: float, high: float, max_iter: int | None = None) -> str:

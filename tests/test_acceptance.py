@@ -11,6 +11,7 @@ verdict; speed is measured by perfbench.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -27,10 +28,11 @@ from crn_sense.analytic import (
     pd_marcum,
     pf_gamma,
     pf_gaussian,
+    resolved_occupied_probability,
 )
 from crn_sense.cli import main
 from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
-from crn_sense.montecarlo import GenerativeModel, TrialConfig, count_band, draw_statistics
+from crn_sense.montecarlo import GenerativeModel, TrialConfig, count_bands, draw_statistics
 from crn_sense.reference_tables import (
     COLLISION_ROWS,
     COLLISION_SENSED_ENERGY,
@@ -208,18 +210,46 @@ def test_criterion_4_special_function_oracles():
     assert ok, detail
 
 
+RATE_TRIALS = 100000
+
+# acceptance 5's pair grid, band width and exact (idle, busy) tails per
+# model, which acceptance 10 reuses on the same draws
+RATE_SWEEPS = {
+    GenerativeModel.CHISQ: (
+        np.linspace(4.0, 22.0, 10),
+        6.0,
+        lambda x: pf_gamma(x, 5),
+        lambda x: pd_marcum(x, SNR, 5),
+    ),
+    GenerativeModel.SAMPLE: (
+        np.linspace(0.92, 1.10, 10),
+        0.06,
+        lambda x: sample_energy_sf_oracle(x, 1000, 1.0, 0.0),
+        lambda x: sample_energy_sf_oracle(x, 1000, 1.0, SNR),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _rate_draws(model):
+    """The (H0, H1) statistics acceptance 5 and 10 count, drawn once per
+    module: conftest empties the block cache before every test."""
+    draws = draw_statistics(TrialConfig(num_trials=RATE_TRIALS, seed=0, model=model))
+    for stats in draws:
+        stats.flags.writeable = False
+    return draws
+
+
 def _rate_sweep(model, grid, width, idle_tail, busy_tail):
     """(checks, failures, seconds) for all five rates over a pair grid."""
-    trials = 100000
-    config = TrialConfig(num_trials=trials, seed=0, model=model)
+    trials = RATE_TRIALS
     start = time.monotonic()
-    stats_h0, stats_h1 = draw_statistics(config)
+    pairs = [ThresholdPair(lam, lam + width) for lam in grid]
+    counts = [count_bands(stats, pairs) for stats in _rate_draws(model)]
     checks = 0
     failures = []
-    for lam in grid:
-        pair = ThresholdPair(lam, lam + width)
-        h0 = count_band(stats_h0, pair)
-        h1 = count_band(stats_h1, pair)
+    for pair, h0, h1 in zip(pairs, *counts):
+        lam = pair.lambda_low
         observed = {
             "pf": (h0.above / trials, idle_tail(pair.lambda_high)),
             "pd": (h1.above / trials, busy_tail(pair.lambda_high)),
@@ -237,13 +267,7 @@ def _rate_sweep(model, grid, width, idle_tail, busy_tail):
 
 def test_criterion_5_chisq_model_agreement():
     """Exact-law generator versus the chi-square formula family."""
-    checks, failures, seconds = _rate_sweep(
-        GenerativeModel.CHISQ,
-        np.linspace(4.0, 22.0, 10),
-        6.0,
-        lambda x: pf_gamma(x, 5),
-        lambda x: pd_marcum(x, SNR, 5),
-    )
+    checks, failures, seconds = _rate_sweep(GenerativeModel.CHISQ, *RATE_SWEEPS[GenerativeModel.CHISQ])
     ok = not failures
     detail = f"{checks - len(failures)}/{checks} rates within 3 sigma at 10^5 trials ({seconds:.1f}s)"
     if failures:
@@ -278,15 +302,8 @@ def test_criterion_5_sample_model_agreement():
     either formula exceeds.
     """
     num_samples = 1000
-    grid = np.linspace(0.92, 1.10, 10)
-    width = 0.06
-    checks, failures, seconds = _rate_sweep(
-        GenerativeModel.SAMPLE,
-        grid,
-        width,
-        lambda x: sample_energy_sf_oracle(x, num_samples, 1.0, 0.0),
-        lambda x: sample_energy_sf_oracle(x, num_samples, 1.0, SNR),
-    )
+    grid, width, *_ = RATE_SWEEPS[GenerativeModel.SAMPLE]
+    checks, failures, seconds = _rate_sweep(GenerativeModel.SAMPLE, *RATE_SWEEPS[GenerativeModel.SAMPLE])
     thresholds = {float(x) for lam in grid for x in (lam, lam + width)}
     clt_gaps = []
     for name, snr, clt in (
@@ -462,4 +479,48 @@ def test_criterion_9_matched_false_alarm_audit():
         f"{elapsed:.1f}s"
     )
     record_acceptance(f"ACCEPTANCE 9: {'PASS' if ok else 'FAIL'} - {detail}")
+    assert ok, detail
+
+
+def test_criterion_10_resolved_detector_agreement():
+    """The resolved detector's drawn counts against its closed form.
+
+    On acceptance 5's draws and pair grids, at depths 1, 2, 4, 8 and 12,
+    each resolved pf and pd must lie within 3 sigma of
+    resolved_occupied_probability over the model's exact tails: the
+    gamma/Marcum family for the chi-square model, scipy's chi-square
+    law of M*T (sample_energy_sf_oracle) for the sample model.
+    """
+    trials = RATE_TRIALS
+    start = time.monotonic()
+    summaries = []
+    failures = []
+    for model, label in ((GenerativeModel.CHISQ, "chi-square model"), (GenerativeModel.SAMPLE, "sample model")):
+        grid, width, idle_tail, busy_tail = RATE_SWEEPS[model]
+        pairs = [ThresholdPair(lam, lam + width) for lam in grid]
+        checks = misses = 0
+        worst = 0.0
+        for depth in (1, 2, 4, 8, 12):
+            bisection = BisectionConfig(max_iter=depth)
+            counts = [count_bands(stats, pairs, bisection) for stats in _rate_draws(model)]
+            for pair, h0, h1 in zip(pairs, *counts):
+                for name, band, tail in (("pf", h0, idle_tail), ("pd", h1, busy_tail)):
+                    truth = resolved_occupied_probability(pair, bisection, tail)
+                    gap = abs(band.resolved_occupied / trials - truth)
+                    sigma = math.sqrt(truth * (1.0 - truth) / trials)
+                    checks += 1
+                    worst = max(worst, gap / sigma)
+                    if gap > 3.0 * sigma:
+                        misses += 1
+                        failures.append(f"{label} {name}@{pair.lambda_low:.3g} depth {depth} off {gap / sigma:.2f} sigma")
+        summaries.append(f"{label} {checks - misses}/{checks} (worst {worst:.2f} sigma)")
+    ok = not failures
+    detail = (
+        "resolved pf and pd within 3 sigma of the closed form at depths 1, 2, 4, 8 and 12, 10^5 trials: "
+        + "; ".join(summaries)
+        + f" ({time.monotonic() - start:.1f}s)"
+    )
+    if failures:
+        detail += "; first offenders: " + "; ".join(failures[:3])
+    record_acceptance(f"ACCEPTANCE 10: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail

@@ -309,25 +309,29 @@ class TestResolvedOccupied:
 
     @staticmethod
     def every_cell_sum(pair, config, survival):
-        """The cell sum stepping through every cell, max(0.0, gap) on the odd ones."""
-        total = survival(pair.lambda_high)
+        """The cell sum stepping through every cell, max(0.0, gap) on the odd ones.
+
+        The tails come from one array call over the edges lambda_low +
+        index * step and lambda_high (TestArrayArguments pins array and
+        float calls to the same bits); the sum is a float loop.
+        """
         if pair.width == 0.0:
-            return total
+            return float(survival(np.array([pair.lambda_high]))[0])
         cells = 2**config.max_iter
         step = pair.width / cells
-        tail_hi = survival(pair.lambda_high)
+        tails = survival(np.append(pair.lambda_low + np.arange(cells) * step, pair.lambda_high)).tolist()
+        total = tail_hi = tails[cells]
         for index in reversed(range(cells)):
-            tail_lo = survival(pair.lambda_low + index * step)
+            tail_lo = tails[index]
             if index % 2 == 1:
                 total += max(0.0, tail_lo - tail_hi)
             tail_hi = tail_lo
         return min(1.0, total)
 
     def test_equals_the_every_cell_sum_at_depth_11(self):
-        # the same edges in one array call as in the float calls, whose
-        # tails have the same bits, and the same gaps added in the same
-        # order (a gap that is not positive adds nothing either way), so
-        # the sums are equal
+        # the same edges, the same tails, and the same gaps added in the
+        # same order (a gap that is not positive adds nothing either way),
+        # so the sums are equal
         bands = [(row.lambda_low, row.lambda_high) for row in COLLISION_ROWS]
         bands += [(12.0, 18.0), (8.0, 20.0), (7.0, 22.0), (0.5, 4.0)]
         # 0.7 + (3.1 - 0.7) rounds off 3.1: the top edge is lambda_high itself
@@ -340,10 +344,10 @@ class TestResolvedOccupied:
                 got = resolved_occupied_probability(ThresholdPair(lo, hi), config, recording(tail, got_args))
                 want = self.every_cell_sum(ThresholdPair(lo, hi), config, recording(tail, want_args))
                 assert got == want, (lo, hi)
-                # the float route reads S(lambda_high) twice, then every
-                # edge from the top down; the array route reads each once
-                assert len(want_args) == 2**11 + 2 and want_args[0] == want_args[1] == hi
-                assert got_args == [want_args[:0:-1]]
+                # each reads every edge once, in one call, ending on lambda_high
+                step = (hi - lo) / 2**11
+                assert want_args == [[lo + index * step for index in range(2**11)] + [hi]]
+                assert got_args == want_args
 
     def test_equals_the_every_cell_sum_where_gaps_go_negative(self):
         # a survival that rises in places gives odd cells negative gaps,

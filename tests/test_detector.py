@@ -1,7 +1,7 @@
 """Decision rule tests, including the published threshold resolutions.
 
-The verdicts are pinned on count_band, the one place the rule is
-coded, with one-element arrays. The sixteen golden lambda_opt values
+The verdicts are pinned on count_band, the one-pair call of
+count_bands, the one place the rule is coded, with one-element arrays. The sixteen golden lambda_opt values
 below are the full-precision dyadic numbers whose 2-decimal prints
 appear in the published comparison tables; each was derived by
 hand-executing the four-step halving rule and is reproduced exactly,
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,8 +119,8 @@ class TestBisectionConfig:
         deepest = BisectionConfig(max_iter=2099)
         trace = bisection_optimum_threshold(ThresholdPair(0.0, sys.float_info.max), 5e-324, deepest).trace
         assert trace[-1] != trace[-2]
-        deeper = SimpleNamespace(max_iter=2200)  # past the bound BisectionConfig enforces
-        rest = [float(mid) for mid in _midpoints(ThresholdPair(0.0, sys.float_info.max), 5e-324, deeper)]
+        # 2200 steps, past the bound BisectionConfig enforces
+        rest = [float(mid) for mid in _midpoints(0.0, sys.float_info.max, 5e-324, 2200)]
         assert rest[:2099] == list(trace)
         assert set(rest[2098:]) == {trace[-1]}
         # demo 02 resolves 12..18 at depth 60

@@ -64,3 +64,10 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(paths) > 10
     unused = {os.path.basename(path): imported_but_unused(path) for path in paths}
     assert not any(unused.values()), {name: names for name, names in unused.items() if names}
+
+
+def test_package_exports_both_band_counters():
+    # 41 names with __version__: count_bands counts many pairs from one
+    # sort, count_band is its one-pair call
+    assert len(crn_sense.__all__) == 41
+    assert {"count_band", "count_bands"} <= set(crn_sense.__all__)

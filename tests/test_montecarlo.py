@@ -38,6 +38,7 @@ from crn_sense.analytic import (
 from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from crn_sense.montecarlo import (
     BLOCK_TRIALS,
+    BandCounts,
     CollisionRow,
     GenerativeModel,
     RateEstimate,
@@ -45,6 +46,7 @@ from crn_sense.montecarlo import (
     _statistics,
     collision_sweep,
     count_band,
+    count_bands,
     draw_statistics,
     estimate_double,
     estimate_single,
@@ -52,7 +54,7 @@ from crn_sense.montecarlo import (
     roc_table,
 )
 from crn_sense.signal_model import Hypothesis, SensingParams, SignalMode, block_generator, bpsk_matrix
-from oracles import order_rule_threshold, verdict_oracle
+from oracles import order_rule_threshold, order_rule_trace, verdict_oracle
 
 SNR = 10.0 ** (-1.4)
 
@@ -674,9 +676,8 @@ class TestEstimateSingle:
 
 
 def resolved_verdicts(energies, pair, config):
-    """The array path's Occupied verdict for each in-band energy."""
-    inside = np.ones(energies.shape, dtype=bool)
-    return montecarlo._resolve_occupied(energies, ~inside, inside, pair, config)
+    """count_band's final Occupied verdict on each energy, counted alone."""
+    return np.array([count_band(np.array([energy]), pair, config).resolved_occupied == 1 for energy in energies])
 
 
 class TestBisectArray:
@@ -725,6 +726,146 @@ class TestBisectArray:
             got = resolved_verdicts(np.ldexp(energies, -990), tiny, config)
             assert np.array_equal(got, want), depth
             assert count_band(np.ldexp(energies, -990), tiny, config) == count_band(energies, unit, config)
+
+
+class TestCountBands:
+    """count_bands against verdict_oracle, trial by trial, on energies
+    planted on every kind of tie the sorted walk has to get right."""
+
+    BANDS = [
+        (12.0, 18.0),
+        # cell edges that are not lambda_low + k * step
+        (0.7, 3.1),
+        # midpoints whose low + high overflows
+        (1e308, 1.5e308),
+        # one ulp wide: the top midpoint rounds onto lambda_high
+        (1.0 + 2.0**-52, 1.0 + 2.0**-51),
+        (5.0, 5.0),
+    ]
+
+    @staticmethod
+    def planted(low, high, rng):
+        """Families of energies for one band: on lambda_low and on
+        lambda_high, on the order rule's midpoints of several depths, one
+        ulp to either side of each of those, and a uniform fill."""
+        fill = rng.uniform(low, high, 64)
+        mids = sorted({order_rule_threshold(low, high, float(e), depth) for e in fill[:16] for depth in (1, 2, 3, 5, 8, 13)})
+        edges = [low, low, high, high] + mids
+        return {
+            "edges": np.array(edges),
+            "beside": np.concatenate([np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]),
+            "fill": fill,
+        }
+
+    @staticmethod
+    def tally(energies, low, high, depths):
+        """(first-pass Counter, {depth: resolved Occupied count}) by verdict_oracle.
+
+        One order-rule walk per energy gives its verdicts at every depth:
+        verdict_oracle at depth d compares with that walk's d-th midpoint.
+        """
+        first = Counter(verdict_oracle(float(e), low, high) for e in energies)
+        final = dict.fromkeys(depths, first["occupied"])
+        for energy in map(float, energies):
+            if verdict_oracle(energy, low, high) == "fuzzy":
+                trace = order_rule_trace(low, high, energy, max(depths))
+                for depth in depths:
+                    final[depth] += energy > trace[depth - 1]
+        return first, final
+
+    def test_counts_equal_the_oracle_at_depths_1_to_60(self):
+        rng = np.random.default_rng(31)
+        depths = range(1, 61)
+        pairs = [ThresholdPair(low, high) for low, high in self.BANDS]
+        families = {band: self.planted(*band, rng) for band in self.BANDS}
+        # the oracle's walk at a few depths, checked against verdict_oracle itself
+        for (low, high), family in families.items():
+            for energy in family["edges"].tolist() + family["fill"][:8].tolist():
+                if low <= energy <= high:
+                    trace = order_rule_trace(low, high, energy, 60)
+                    for depth in (1, 4, 11, 60):
+                        want = verdict_oracle(energy, low, high, depth)
+                        assert want == ("occupied" if energy > trace[depth - 1] else "idle")
+        # every band's families one at a time, then all of them in one
+        # shuffled array against every pair in one call
+        arrays = [family[name] for family in families.values() for name in family]
+        arrays.append(rng.permutation(np.concatenate(arrays)))
+        for stats in arrays:
+            before = stats.copy()
+            tallies = [self.tally(stats, low, high, depths) for low, high in self.BANDS]
+            for depth in depths:
+                counts = count_bands(stats, pairs, BisectionConfig(max_iter=depth))
+                for got, pair, (first, final) in zip(counts, pairs, tallies):
+                    want = (first["occupied"], first["idle"], first["fuzzy"], final[depth])
+                    assert (got.above, got.below, got.inside, got.resolved_occupied) == want, (pair, depth)
+            assert np.array_equal(stats, before)
+
+    def test_counts_equal_the_oracle_at_the_deepest_depth(self):
+        rng = np.random.default_rng(37)
+        bands = [*self.BANDS, (0.0, sys.float_info.max)]
+        stats = np.array([5e-324, 0.0, 1e-300, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 0.7, 2.5, 3.1, 5.0, 12.0, 13.6875,
+                          18.0, 1e308, 1.25e308, 1.5e308, sys.float_info.max])
+        stats = np.concatenate([stats, rng.uniform(0.7, 3.1, 8), rng.uniform(12.0, 18.0, 8)])
+        before = stats.copy()
+        counts = count_bands(stats, [ThresholdPair(*band) for band in bands], BisectionConfig(max_iter=2099))
+        for got, (low, high) in zip(counts, bands):
+            first, final = self.tally(stats, low, high, [2099])
+            assert (got.above, got.below, got.inside) == (first["occupied"], first["idle"], first["fuzzy"])
+            assert got.resolved_occupied == final[2099], (low, high)
+        assert np.array_equal(stats, before)
+
+    def test_one_ulp_band_leaves_its_top_idle(self):
+        low, high = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        assert (low + high) / 2.0 == high
+        for depth in (1, 2, 5, 60):
+            counts = count_band(np.array([low, high]), ThresholdPair(low, high), BisectionConfig(max_iter=depth))
+            assert (counts.inside, counts.resolved_occupied) == (2, 0)
+            assert verdict_oracle(high, low, high, depth) == "idle"
+
+    def test_nan_is_fuzzy_then_idle(self):
+        # as the comparisons read it: neither below nor above, never Occupied
+        stats = np.array([np.nan, 11.0, 15.0, 19.0, np.nan])
+        counts = count_bands(stats, [ThresholdPair(12.0, 18.0), ThresholdPair(15.0, 15.0)], BisectionConfig())
+        assert counts[0] == BandCounts(above=1, below=1, inside=3, resolved_occupied=1)
+        assert counts[1] == BandCounts(above=1, below=1, inside=3, resolved_occupied=1)
+
+    def test_no_pairs_and_no_stats(self):
+        assert count_bands(np.array([1.0, 2.0]), []) == []
+        assert count_band(np.array([]), ThresholdPair(1.0, 2.0), BisectionConfig()) == BandCounts(0, 0, 0, 0)
+
+
+class TestOneSortPerHypothesis:
+    """Every counter of the library sorts each hypothesis's draw once:
+    one count_bands call per hypothesis, with all its pairs."""
+
+    CONFIG = TrialConfig(num_trials=2001, seed=43, model=GenerativeModel.CHISQ)
+    PAIRS = [ThresholdPair(12.0, 18.0), ThresholdPair(8.0, 20.0), ThresholdPair(9.0, 9.0)]
+    CALLS = {
+        "roc_table": (lambda c: roc_table(TestOneSortPerHypothesis.PAIRS, c, BisectionConfig()), (2001, 2001), 6),
+        "collision_sweep": (lambda c: collision_sweep(TestOneSortPerHypothesis.PAIRS[:2], [14.5], c), (1000, 1001), 2),
+        "estimate_double": (lambda c: estimate_double(ThresholdPair(12.0, 18.0), c), (1000, 1001), 1),
+        "estimate_double_resolved": (
+            lambda c: estimate_double(ThresholdPair(12.0, 18.0), c, resolver="bisection-resolve"), (1000, 1001), 1,
+        ),
+        "roc_empirical": (lambda c: roc_empirical(np.linspace(2.0, 30.0, 15), c), (2001, 2001), 15),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_one_count_bands_call_per_hypothesis(self, monkeypatch, name):
+        run, sizes, num_pairs = self.CALLS[name]
+        calls = []
+        real = montecarlo.count_bands
+
+        def spy(stats, pairs, bisection=None):
+            calls.append((stats, len(pairs)))
+            return real(stats, pairs, bisection)
+
+        monkeypatch.setattr(montecarlo, "count_bands", spy)
+        run(self.CONFIG)
+        h0, h1 = draw_statistics(self.CONFIG, *sizes)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0][0], h0) and np.array_equal(calls[1][0], h1)
+        assert [pairs for _, pairs in calls] == [num_pairs, num_pairs]
 
 
 @pytest.fixture(scope="module")
