@@ -17,6 +17,7 @@ from crn_sense import (
     pd_marcum,
     pf_gamma,
     pf_gaussian,
+    tails,
     threshold_for_target_pf,
 )
 
@@ -46,7 +47,7 @@ def main() -> None:
     back = pf_gaussian(lam, params.noise_variance, params.num_samples)
     print(f"\nthreshold for pf={target}: {lam:.6f} (round trip pf {back:.6f})")
 
-    report = double_threshold_report(ThresholdPair(12.0, 18.0), snr, params.time_bandwidth)
+    report = double_threshold_report(ThresholdPair(12.0, 18.0), tails(params, "gamma-marcum"))
     print("\ndouble threshold on the band [12, 18]")
     print(f"  false alarm        {report.pf:.6f}")
     print(f"  detection          {report.pd:.6f}")

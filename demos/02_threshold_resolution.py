@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from crn_sense import (
     BisectionConfig,
+    SensingParams,
     ThresholdPair,
     bisection_optimum_threshold,
-    bisection_resolved_rates,
-    pd_marcum,
-    pf_gamma,
-    snr_db_to_linear,
+    resolved_occupied_probability,
+    tails,
 )
 
 BAND = ThresholdPair(12.0, 18.0)
@@ -22,7 +21,8 @@ ENERGIES = [12.5, 14.0, 15.0, 15.5, 16.0, 16.5, 17.0, 17.5]
 
 
 def main() -> None:
-    snr = snr_db_to_linear(-14.0)
+    # -14 dB, order 5, unit noise: the chi-square survival pair
+    idle, busy = tails(SensingParams(snr_db=-14.0, time_bandwidth=5), "gamma-marcum")
 
     print(f"band [{BAND.lambda_low}, {BAND.lambda_high}], default 4 halvings")
     print(f"{'energy':>7}  {'trace':<34} {'resolved':>9}")
@@ -42,12 +42,10 @@ def main() -> None:
 
     print("\nresolved-detector closed forms versus the plain detectors")
     print(f"{'detector':<28} {'pf':>10} {'pd':>10}")
-    pf_res, pd_res = bisection_resolved_rates(BAND, snr, 5)
-    print(f"{'single at lower level':<28} {pf_gamma(BAND.lambda_low, 5):10.6f} "
-          f"{pd_marcum(BAND.lambda_low, snr, 5):10.6f}")
+    pf_res, pd_res = (resolved_occupied_probability(BAND, BisectionConfig(), s) for s in (idle, busy))
+    print(f"{'single at lower level':<28} {idle(BAND.lambda_low):10.6f} {busy(BAND.lambda_low):10.6f}")
     print(f"{'bisection resolved':<28} {pf_res:10.6f} {pd_res:10.6f}")
-    print(f"{'single at upper level':<28} {pf_gamma(BAND.lambda_high, 5):10.6f} "
-          f"{pd_marcum(BAND.lambda_high, snr, 5):10.6f}")
+    print(f"{'single at upper level':<28} {idle(BAND.lambda_high):10.6f} {busy(BAND.lambda_high):10.6f}")
     print("the resolved detector lands between the two fixed ones")
 
 

@@ -11,7 +11,6 @@ from .analytic import (
     DoubleThresholdReport,
     RocCurve,
     RocPoint,
-    bisection_resolved_rates,
     double_threshold_report,
     pd_gaussian,
     pd_marcum,
@@ -78,7 +77,6 @@ __all__ = [
     "ThresholdPair",
     "TrialConfig",
     "bisection_optimum_threshold",
-    "bisection_resolved_rates",
     "collision_sweep",
     "count_band",
     "count_bands",

@@ -5,8 +5,10 @@ Two formula families coexist and are kept apart on purpose. The
 statistic and is keyed on the window length M; the "gamma-marcum"
 family treats the unaveraged statistic as (noncentral) chi-square
 with 2u degrees of freedom and is keyed on the order u. They are not
-numerically interchangeable, so every entry point names its family
-and the caller has to pick.
+numerically interchangeable, so the caller picks one by name in
+`tails(params, form)`: the pair of survival functions (idle, busy) from
+which the double-threshold report and the resolved detector's closed
+form read every rate. pf_gaussian is pd_gaussian at zero SNR.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ __all__ = [
     "threshold_for_target_pf",
     "tails",
     "resolved_occupied_probability",
-    "bisection_resolved_rates",
 ]
 
 _MONOTONE_SLACK = 1e-12  # roundoff allowance when validating curve ordering
 _SLICE_CELLS = 2**12  # cells per survival call of the resolved closed form
+
+Survival = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,11 @@ def _check_snr(snr_linear: float) -> None:
 
 
 def pf_gaussian(threshold, noise_variance: float, num_samples: int):
-    """False-alarm probability, CLT family.
+    """False-alarm probability, CLT family: pd_gaussian at zero SNR.
 
-    Q((threshold / noise_variance - 1) * sqrt(num_samples / 2)).
+    Q((threshold / noise_variance - 1) * sqrt(num_samples / 2)), to the bit.
     """
-    _check_gaussian_args(noise_variance, num_samples)
-    checked_values(threshold, "threshold must be finite", nonnegative=False)
-    arg = (threshold / noise_variance - 1.0) * math.sqrt(num_samples / 2.0)
-    return gaussian_q(arg)
+    return pd_gaussian(threshold, noise_variance, 0.0, num_samples)
 
 
 def pd_gaussian(threshold, noise_variance: float, snr_linear: float, num_samples: int):
@@ -155,11 +155,12 @@ def pd_marcum(threshold, snr_linear: float, u: int):
     return marcum_q(u, math.sqrt(2.0 * snr_linear), np.sqrt(threshold))
 
 
-def double_threshold_report(pair: ThresholdPair, snr_linear: float, u: int) -> DoubleThresholdReport:
-    """All five closed-form rates for one threshold pair."""
+def double_threshold_report(pair: ThresholdPair, survivals: tuple[Survival, Survival]) -> DoubleThresholdReport:
+    """All five closed-form rates for one threshold pair, from a `tails` pair."""
+    idle_tail, busy_tail = survivals
     levels = np.array([pair.lambda_high, pair.lambda_low])
-    pd_high, pd_low = pd_marcum(levels, snr_linear, u).tolist()
-    pf_high, pf_low = pf_gamma(levels, u).tolist()
+    pd_high, pd_low = busy_tail(levels).tolist()
+    pf_high, pf_low = idle_tail(levels).tolist()
     return DoubleThresholdReport(pf=pf_high, pd=pd_high, pm=1.0 - pd_high, pc=1.0 - pd_low, pna=pf_low)
 
 
@@ -169,9 +170,6 @@ def threshold_for_target_pf(target_pf: float, noise_variance: float, num_samples
     if not (0.0 < target_pf < 1.0):
         raise ValueError(f"target_pf must lie in (0, 1), got {target_pf!r}")
     return noise_variance * (1.0 + gaussian_q_inv(target_pf) * math.sqrt(2.0 / num_samples))
-
-
-Survival = Callable[[np.ndarray], np.ndarray]
 
 
 def tails(params, form: str) -> tuple[Survival, Survival]:
@@ -243,15 +241,3 @@ def resolved_occupied_probability(pair: ThresholdPair, config: BisectionConfig, 
         start = tail[-1] if total is None else total
         total = np.add.accumulate(np.concatenate(([start], gaps[gaps > 0.0])))[-1]
     return min(1.0, float(total))
-
-
-def bisection_resolved_rates(
-    pair: ThresholdPair,
-    snr_linear: float,
-    u: int,
-    config: BisectionConfig = BisectionConfig(),
-) -> tuple[float, float]:
-    """(pf, pd) of the bisection-resolved detector, chi-square family."""
-    pf = resolved_occupied_probability(pair, config, lambda x: pf_gamma(x, u))
-    pd = resolved_occupied_probability(pair, config, lambda x: pd_marcum(x, snr_linear, u))
-    return pf, pd

@@ -8,7 +8,8 @@ threshold bands, and `bisect` shows one threshold resolution in full.
 A command parses its flags, calls the library and only formats the
 result: `roc` is one `roc_table` call, `collision` one
 `collision_sweep` call, `bisect` one `bisection_optimum_threshold`
-call, and `tables` lays the closed forms out beside the paper's rows.
+call, and `tables` lays out beside the paper's rows the closed forms
+of one unit-noise chi-square `tails` pair.
 
 Every run is deterministic given its flags. The seed comes from
 --seed, else the CRN_SENSE_SEED environment variable, else 0. CSV
@@ -20,6 +21,7 @@ manifest is written next to each output. Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -29,13 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import __version__
-from .analytic import (
-    DoubleThresholdReport,
-    bisection_resolved_rates,
-    double_threshold_report,
-    pd_marcum,
-    pf_gamma,
-)
+from .analytic import DoubleThresholdReport, double_threshold_report, resolved_occupied_probability, tails
 from .detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from .montecarlo import (
     GenerativeModel,
@@ -194,21 +190,21 @@ def _report_columns(report: DoubleThresholdReport) -> list[tuple[str, float]]:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     start = time.monotonic()
-    params = _sensing_params(args)
-    snr = params.snr_linear
-    u = args.u
+    # the tables' levels are in units of the noise variance, so the
+    # chi-square pair is taken at unit noise; --samples and --noise-var
+    # are only validated
+    survivals = tails(dataclasses.replace(_sensing_params(args), noise_variance=1.0), "gamma-marcum")
     bisection = BisectionConfig()
     rows: list[list[tuple[str, object]]] = []
     if args.which in _COMPARISON_TABLES:
         pair = ThresholdPair(DOUBLE_BAND_LOW, DOUBLE_BAND_HIGH)
         fixture, baseline, printed_name, diff_name = _COMPARISON_TABLES[args.which]
-        double = _report_columns(double_threshold_report(pair, snr, u))
+        double = _report_columns(double_threshold_report(pair, survivals))
         lambda_opts = np.array(
             [bisection_optimum_threshold(pair, row.sensed_energy, bisection).lambda_opt for row in fixture]
         )
         # one closed-form call per tail over every row's lambda_opt
-        pf_opts = pf_gamma(lambda_opts, u).tolist()
-        pd_opts = pd_marcum(lambda_opts, snr, u).tolist()
+        pf_opts, pd_opts = (survival(lambda_opts).tolist() for survival in survivals)
         for index, (fixture_row, lambda_opt, pf_opt, pd_opt) in enumerate(
             zip(fixture, lambda_opts.tolist(), pf_opts, pd_opts), start=1
         ):
@@ -234,8 +230,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         for index, fixture_row in enumerate(COLLISION_ROWS, start=1):
             pair = ThresholdPair(fixture_row.lambda_low, fixture_row.lambda_high)
             resolved = bisection_optimum_threshold(pair, COLLISION_SENSED_ENERGY, bisection)
-            double = _report_columns(double_threshold_report(pair, snr, u))
-            pf_res, pd_res = bisection_resolved_rates(pair, snr, u, bisection)
+            double = _report_columns(double_threshold_report(pair, survivals))
+            pf_res, pd_res = (resolved_occupied_probability(pair, bisection, survival) for survival in survivals)
             rows.append(
                 [
                     ("row", index),
@@ -357,8 +353,8 @@ def _add_sensing_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise-var", type=float, default=1.0, help="per-sample noise power")
 
 
-def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trials", type=int, default=100000, help="Monte Carlo trials per hypothesis")
+def _add_trial_flags(parser: argparse.ArgumentParser, trials_help: str) -> None:
+    parser.add_argument("--trials", type=int, default=100000, help=trials_help)
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: CRN_SENSE_SEED or 0)")
     parser.add_argument("--chunks", type=int, default=1, help="parallel worker count; never changes results")
     parser.add_argument(
@@ -402,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     roc.add_argument("--max-iter", type=int, default=4, help="bisection depth for the resolved detector")
     roc.add_argument("--out", required=True, help="output CSV base path; one file per variant")
     _add_sensing_flags(roc)
-    _add_trial_flags(roc)
+    _add_trial_flags(roc, "Monte Carlo trials per hypothesis")
     roc.set_defaults(func=cmd_roc)
 
     collision = sub.add_parser("collision", help="collision comparison across threshold bands")
@@ -412,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     collision.add_argument("--max-iter", type=int, default=4, help="bisection depth")
     collision.add_argument("--out", required=True, help="output CSV path")
     _add_sensing_flags(collision)
-    _add_trial_flags(collision)
+    _add_trial_flags(
+        collision, "Monte Carlo trials in all, split between H0 and H1 (H1 gets the odd one), so at least 2"
+    )
     collision.set_defaults(func=cmd_collision)
 
     bisect = sub.add_parser("bisect", help="print one threshold resolution trace")

@@ -168,7 +168,8 @@ def bpsk_matrix(
     bits = np.where(rng.random(num_rows * bits_per_row) < 0.5, -1.0, 1.0)
     bits = bits.reshape(num_rows, bits_per_row)
     symbols = np.repeat(bits, SAMPLES_PER_BIT, axis=1)[:, :m]
-    carrier = np.cos(2.0 * np.pi * np.arange(m) / SAMPLES_PER_CYCLE)
-    # sqrt(2) amplitude compensates the 1/2 average power of cos^2.
-    return math.sqrt(2.0 * params.snr_linear) * symbols * carrier
+    # sqrt(2) amplitude compensates the 1/2 average power of cos^2. The
+    # scaled carrier row is built once: ±(c·x) has the bits of (±c)·x.
+    carrier = math.sqrt(2.0 * params.snr_linear) * np.cos(2.0 * np.pi * np.arange(m) / SAMPLES_PER_CYCLE)
+    return symbols * carrier
 

@@ -12,12 +12,14 @@ The detector order u is the time-bandwidth product, an integer, so
 every upper gamma tail, the Marcum series' included, is the finite sum
 exp(-x) * sum_{k<u} x^k / k!: built forward from exp(-x) below
 x = 700, and outward from its largest term beyond, where exp(-x) nears
-underflow. The forward sums and the Poisson series step along their
-index in 2D chunks, one row per element, with numpy's sequential
-accumulates, so every element sees the products and sums of a scalar
-loop in the same order. exp itself is the standard library's per
-element, as is erfc: numpy's exp differs from math.exp in the last bit
-at some arguments. The normal quantile is the standard library's.
+underflow. marcum_q has one path for every a: at a = 0 its series is
+the central tail, with reg_upper_gamma's bits, after one term. The
+forward sums and the Poisson series step along their index in 2D
+chunks, one row per element, with numpy's sequential accumulates, so
+every element sees the products and sums of a scalar loop in the same
+order. exp itself is the standard library's per element, as is erfc:
+numpy's exp differs from math.exp in the last bit at some arguments.
+The normal quantile is the standard library's.
 """
 
 from __future__ import annotations
@@ -204,7 +206,10 @@ def marcum_q(u: float, a: float, b):
     once the remaining Poisson mass cannot move the result past _ABS_TOL
     (every gamma tail factor is at most one); a series still short of
     that after _MAX_TERMS terms raises ConvergenceError. b may be an
-    array, and each element stops at its own first such term.
+    array, and each element stops at its own first such term. At a = 0
+    every weight after the first is 0, the series stops at k = 1, and
+    the result is reg_upper_gamma(u, b^2/2) to the bit: the central
+    case needs no branch of its own.
 
     Below b^2/2 = 700 the tails come from one running finite sum,
     stepped a term per Poisson step: the same operations in the same
@@ -221,8 +226,6 @@ def marcum_q(u: float, a: float, b):
     values = checked_values(b, "marcum_q needs b >= 0")
     x = 0.5 * values * values
     n = int(u)
-    if a == 0.0:
-        return _like(b, _gamma_tails(n, x))
     h = 0.5 * a * a
     if math.exp(-h) < sys.float_info.min and values.any():
         raise ConvergenceError(

@@ -6,6 +6,9 @@ test comparing the two is a genuine dual-route check. The one
 exception is marcum_series_oracle, which repeats the textbook Marcum
 series on the package's own reg_upper_gamma so that a test can demand
 bit equality from the faster way marcum_q sums the same series.
+carrier_bpsk_oracle likewise keeps an earlier order of operations, the
+amplitude times the symbols and then the carrier, so that a test can
+demand the same bits from the prescaled carrier row.
 """
 
 from __future__ import annotations
@@ -95,6 +98,18 @@ def marcum_series_oracle(u: float, a: float, b):
             raise ConvergenceError(f"series stalled at u={u!r}, a={a!r}, b={stalled!r}")
     value = np.where(levels == 0.0, 1.0, value)
     return float(value[0]) if np.ndim(b) == 0 else value.reshape(np.shape(b))
+
+
+def carrier_bpsk_oracle(snr_linear: float, uniforms: np.ndarray, num_samples: int) -> np.ndarray:
+    """Carrier BPSK rows from one uniform per 64-sample bit, a row per row of uniforms.
+
+    A bit is -1 below one half and +1 from it; the rows are
+    sqrt(2 snr) * symbols * cos(2 pi n / 8), multiplied left to right.
+    """
+    bits = np.where(uniforms < 0.5, -1.0, 1.0)
+    symbols = np.repeat(bits, 64, axis=1)[:, :num_samples]
+    carrier = np.cos(2.0 * np.pi * np.arange(num_samples) / 8)
+    return math.sqrt(2.0 * snr_linear) * symbols * carrier
 
 
 def noncentral_chi2_sf_oracle(x, dof: int, noncentrality: float):

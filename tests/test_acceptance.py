@@ -22,13 +22,13 @@ from scipy.stats import chi2
 
 from crn_sense import montecarlo
 from crn_sense.analytic import (
-    bisection_resolved_rates,
     double_threshold_report,
     pd_gaussian,
     pd_marcum,
     pf_gamma,
     pf_gaussian,
     resolved_occupied_probability,
+    tails,
 )
 from crn_sense.cli import main
 from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
@@ -45,12 +45,14 @@ from crn_sense.reference_tables import (
     PF_DOUBLE_PRINTED,
     PM_DOUBLE_PRINTED,
 )
+from crn_sense.signal_model import SensingParams
 from crn_sense.specfun import gaussian_q, marcum_q, reg_upper_gamma
 
 from conftest import record_acceptance
 from oracles import finite_sum_oracle, marcum_quad_oracle, noncentral_chi2_sf_oracle, sample_energy_sf_oracle
 
 SNR = 10.0 ** (-1.4)
+CHISQ_TAILS = tails(SensingParams(snr_db=-14.0, time_bandwidth=5), "gamma-marcum")  # at SNR, order 5, unit noise
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 # hand-derived dyadic resolutions of the published scenarios: the
@@ -332,7 +334,7 @@ def test_criterion_6_identities_and_monotonicity():
 
     lams = np.sort(rng.uniform(0.0, 40.0, 1200))
     if not all(
-        double_threshold_report(ThresholdPair(lam, lam), SNR, 5).pm == 1.0 - pd_marcum(lam, SNR, 5)
+        double_threshold_report(ThresholdPair(lam, lam), CHISQ_TAILS).pm == 1.0 - pd_marcum(lam, SNR, 5)
         for lam in map(float, lams)
     ):
         problems.append("pm complement not exact")
@@ -464,7 +466,8 @@ def test_criterion_9_matched_false_alarm_audit():
     for row in COLLISION_ROWS:
         pair = ThresholdPair(row.lambda_low, row.lambda_high)
         for depth in range(1, 13):
-            pf, pd = bisection_resolved_rates(pair, SNR, u, BisectionConfig(max_iter=depth))
+            config = BisectionConfig(max_iter=depth)
+            pf, pd = (resolved_occupied_probability(pair, config, survival) for survival in CHISQ_TAILS)
             single = noncentral_chi2_sf_oracle(float(chi2.isf(pf, 2 * u)), 2 * u, 2.0 * SNR)
             margin = single - pd
             if depth == 1:

@@ -21,7 +21,6 @@ from crn_sense.analytic import (
     DoubleThresholdReport,
     RocCurve,
     RocPoint,
-    bisection_resolved_rates,
     double_threshold_report,
     pd_gaussian,
     pd_marcum,
@@ -34,13 +33,32 @@ from crn_sense.analytic import (
 from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from crn_sense.reference_tables import COLLISION_ROWS
 from crn_sense.signal_model import SensingParams
+from crn_sense.specfun import gaussian_q
 
 SNR = 10.0 ** (-14.0 / 10.0)  # 0.039810717055349734
+CHISQ_TAILS = tails(SensingParams(snr_db=-14.0, time_bandwidth=5), "gamma-marcum")  # at SNR, order 5, unit noise
+
+
+def resolved_rates(pair, survivals=CHISQ_TAILS, config=BisectionConfig()):
+    """(pf, pd) of the resolved detector: its closed form over each tail of the pair."""
+    return tuple(resolved_occupied_probability(pair, config, survival) for survival in survivals)
 
 
 class TestPfGaussian:
     def test_frozen(self):
         assert pf_gaussian(1.1, 1.0, 1000) == pytest.approx(0.012673659338734076, abs=1e-15)
+
+    @pytest.mark.parametrize("noise_variance", (1.0, 0.3, 2.5))
+    def test_is_pd_gaussian_at_zero_snr_to_the_bit(self, noise_variance):
+        # and the bits of the formula written out: at zero SNR the
+        # subtraction and the variance factor 2 (2 snr + 1) are exact
+        x = np.linspace(-1.0, 4.0, 4001) * noise_variance
+        for m in (1, 7, 64, 1000, 10**6):
+            got = pf_gaussian(x, noise_variance, m)
+            assert got.tobytes() == pd_gaussian(x, noise_variance, 0.0, m).tobytes(), m
+            assert got.tobytes() == gaussian_q((x / noise_variance - 1.0) * math.sqrt(m / 2.0)).tobytes(), m
+            for v in x[::400].tolist():
+                assert pf_gaussian(v, noise_variance, m).hex() == pd_gaussian(v, noise_variance, 0.0, m).hex()
 
     def test_threshold_at_noise_floor_is_half(self):
         assert pf_gaussian(1.0, 1.0, 1000) == 0.5
@@ -179,7 +197,7 @@ class TestThresholdForTargetPf:
 
 class TestDoubleThresholdReport:
     def test_frozen_band_12_18(self):
-        report = double_threshold_report(ThresholdPair(12.0, 18.0), SNR, 5)
+        report = double_threshold_report(ThresholdPair(12.0, 18.0), CHISQ_TAILS)
         assert report.pf == pytest.approx(0.05496364149510491, abs=1e-15)
         assert report.pd == pytest.approx(0.05740523716186763, abs=1e-15)
         assert report.pm == pytest.approx(0.9425947628381324, abs=1e-15)
@@ -187,19 +205,19 @@ class TestDoubleThresholdReport:
         assert report.pna == pytest.approx(0.2850565003166312, abs=1e-15)
 
     def test_pm_identity(self):
-        report = double_threshold_report(ThresholdPair(3.0, 9.0), SNR, 5)
+        report = double_threshold_report(ThresholdPair(3.0, 9.0), CHISQ_TAILS)
         assert report.pm == 1.0 - report.pd
 
     def test_degenerate_pair_collapses(self):
         # with lambda_low == lambda_high the fuzzy band vanishes:
         # staying quiet below the level while busy is exactly a miss,
         # and sitting above it while idle is exactly a false alarm
-        report = double_threshold_report(ThresholdPair(15.0, 15.0), SNR, 5)
+        report = double_threshold_report(ThresholdPair(15.0, 15.0), CHISQ_TAILS)
         assert report.pc == report.pm
         assert report.pna == report.pf
 
     def test_zero_lower_threshold(self):
-        report = double_threshold_report(ThresholdPair(0.0, 18.0), SNR, 5)
+        report = double_threshold_report(ThresholdPair(0.0, 18.0), CHISQ_TAILS)
         assert report.pc == 0.0
         assert report.pna == 1.0
 
@@ -383,29 +401,29 @@ class TestResolvedOccupied:
     def test_memory_stays_bounded(self, band, snr_db, depth):
         # edges go to survival 2^12 + 1 at a time, and each series
         # chunk holds about 2^16 doubles, whatever the depth and SNR
-        snr = 10.0 ** (snr_db / 10.0)
+        survivals = tails(SensingParams(snr_db=snr_db, time_bandwidth=5), "gamma-marcum")
         tracemalloc.start()
         try:
-            bisection_resolved_rates(ThresholdPair(*band), snr, 5, BisectionConfig(max_iter=depth))
+            resolved_rates(ThresholdPair(*band), survivals, BisectionConfig(max_iter=depth))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
     def test_frozen_rates(self):
-        pf, pd = bisection_resolved_rates(ThresholdPair(12.0, 18.0), SNR, 5)
+        pf, pd = resolved_rates(ThresholdPair(12.0, 18.0))
         assert pf == 0.16531596315960714
         assert pd == 0.16973533160491436
-        pf, pd = bisection_resolved_rates(ThresholdPair(8.0, 20.0), SNR, 5)
+        pf, pd = resolved_rates(ThresholdPair(8.0, 20.0))
         assert pf == 0.31244202992051484
         assert pd == 0.3165138035139382
-        pf, pd = bisection_resolved_rates(ThresholdPair(7.0, 22.0), SNR, 5)
+        pf, pd = resolved_rates(ThresholdPair(7.0, 22.0))
         assert pf == 0.3492081991435151
         assert pd == 0.3525949224924668
 
     def test_frozen_shallow_depth(self):
         config = BisectionConfig(max_iter=2)
-        pf, pd = bisection_resolved_rates(ThresholdPair(12.0, 18.0), SNR, 5, config)
+        pf, pd = resolved_rates(ThresholdPair(12.0, 18.0), config=config)
         assert pf == 0.15116762971932815
         assert pd == 0.15558545271552918
 

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
-from crn_sense import cli, montecarlo
+from crn_sense import analytic, montecarlo
 from crn_sense.cli import build_parser, main
 from crn_sense.detector import ThresholdPair
 from crn_sense.montecarlo import TrialConfig
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def read(path):
@@ -89,6 +92,21 @@ class TestTables:
         assert f"outputs={out}" in lines
         assert lines[-1].startswith("duration_seconds=")
         assert "which=2" in lines
+
+    @pytest.mark.parametrize("which", ["2", "5"])
+    def test_levels_are_in_units_of_the_noise(self, tmp_path, which):
+        # the tables' pair is taken at unit noise: --samples and
+        # --noise-var are validated and recorded, never computed with
+        plain, scaled = str(tmp_path / "plain.csv"), str(tmp_path / "scaled.csv")
+        assert main(["tables", "--which", which, "--out", plain]) == 0
+        assert main(["tables", "--which", which, "--noise-var", "3", "--samples", "50", "--out", scaled]) == 0
+        assert read(scaled) == read(plain)
+
+    def test_samples_are_still_validated(self, tmp_path, capsys):
+        out = str(tmp_path / "t.csv")
+        assert main(["tables", "--which", "2", "--samples", "0", "--out", out]) == 2
+        assert "num_samples must be an integer >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestBisect:
@@ -454,7 +472,7 @@ class TestExitCodes:
         def overflow(*args, **kwargs):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr(cli, "pd_marcum", overflow)
+        monkeypatch.setattr(analytic, "pd_marcum", overflow)
         assert main(["tables", "--which", "2", "--out", str(tmp_path / "t.csv")]) == 1
         assert capsys.readouterr().err == "numeric failure: math range error\n"
 
@@ -469,3 +487,66 @@ class TestParser:
         assert args.seed is None
         assert args.max_iter == 4
         assert (args.lambda_low, args.lambda_high) == (12.0, 18.0)
+
+    def test_trials_help_says_how_each_command_counts(self, capsys):
+        # roc draws --trials under each hypothesis; collision splits
+        # them, H1 taking the odd one, so it needs at least 2
+        def trials_help(command):
+            assert main([command, "--help"]) == 0
+            text = " ".join(capsys.readouterr().out.split())
+            return text[text.rindex("--trials TRIALS") :]
+
+        assert trials_help("roc").startswith("--trials TRIALS Monte Carlo trials per hypothesis --seed")
+        assert trials_help("collision").startswith(
+            "--trials TRIALS Monte Carlo trials in all, split between H0 and H1 (H1 gets the odd one), "
+            "so at least 2 --seed"
+        )
+
+
+class TestCpuDispatch:
+    """CSV bytes do not follow numpy's SIMD dispatch level.
+
+    The statistics' bits may (numpy's tan and log1p round differently
+    with and without AVX512), but the counts and closed forms in the
+    CSVs must not. A run with every dispatched target disabled through
+    NPY_DISABLE_CPU_FEATURES is compared with a default run; each child
+    prints the dispatched targets it has enabled before running the
+    command, so a setting that did not take shows.
+    """
+
+    CHILD = (
+        "import sys\n"
+        "from numpy._core import _multiarray_umath as umath\n"
+        "from crn_sense.cli import main\n"
+        "print(' '.join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    ARGS = {
+        "sample": ["--model", "sample", "--grid", "0.9:1.1:5", "--lambda-low", "0.97", "--lambda-high", "1.03"],
+        "chisq": ["--model", "chisq", "--grid", "6:18:5"],
+    }
+
+    def run(self, out, argv, disabled):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", self.CHILD, *argv, "--out", out],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    @pytest.mark.parametrize("model", ["sample", "chisq"])
+    def test_csv_bytes_do_not_follow_the_dispatch(self, tmp_path, model):
+        dispatched = list(pytest.importorskip("numpy._core._multiarray_umath").__cpu_dispatch__)
+        if not dispatched:
+            pytest.skip("numpy dispatches no target above its baseline on this build")
+        argv = ["roc", *self.ARGS[model], "--trials", "4096", "--seed", "3"]
+        self.run(str(tmp_path / "default.csv"), argv, [])
+        assert self.run(str(tmp_path / "baseline.csv"), argv, dispatched) == []
+        for suffix in ("single", "double", "optimum"):
+            default = (tmp_path / f"default_{suffix}.csv").read_bytes()
+            assert (tmp_path / f"baseline_{suffix}.csv").read_bytes() == default, suffix

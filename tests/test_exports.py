@@ -67,7 +67,8 @@ def test_no_module_imports_a_name_it_never_reads():
 
 
 def test_package_exports_both_band_counters():
-    # 41 names with __version__: count_bands counts many pairs from one
-    # sort, count_band is its one-pair call
-    assert len(crn_sense.__all__) == 41
+    # 40 names with __version__: count_bands counts many pairs from one
+    # sort, count_band is its one-pair call; the resolved detector's
+    # closed form is resolved_occupied_probability over a tails pair
+    assert len(crn_sense.__all__) == 40
     assert {"count_band", "count_bands"} <= set(crn_sense.__all__)

@@ -23,6 +23,8 @@ from crn_sense.signal_model import (
     snr_db_to_linear,
 )
 
+from oracles import carrier_bpsk_oracle
+
 
 def box_muller(seed: int, pairs: int, stream: int = 0) -> np.ndarray:
     """2·pairs normals of (seed, stream) in a block's draw order: every
@@ -205,6 +207,25 @@ class TestBpskSigns:
         want = math.sqrt(p.snr_linear) * np.where(np.array([self.UNIFORMS]) < 0.5, -1.0, 1.0)
         assert got.tobytes() == want.tobytes()
         assert got.shape == (1, len(self.UNIFORMS))
+
+
+class TestCarrierRows:
+    @pytest.mark.parametrize("m", (1, 7, 63, 64, 65, 1000, 8192))
+    def test_prescaled_carrier_keeps_the_bits(self, m):
+        # ±(c·x) rounds as (±c)·x, so scaling the carrier row once gives
+        # the bits of scaling the symbols first; from 3081 dB the
+        # amplitude is inf and every sample ±inf, at -3300 dB it is 0
+        rows, bits_per_row = 3, -(-m // SAMPLES_PER_BIT)
+        uniforms = block_generator(31).random(rows * bits_per_row).reshape(rows, bits_per_row)
+        for snr_db in (-3300.0, -14.0, -3.0, 0.0, 3.0, 20.0, 3079.0, 3081.0, 3082.5):
+            p = SensingParams(num_samples=m, snr_db=snr_db)
+            got = bpsk_matrix(p, block_generator(31), SignalMode.CARRIER_BPSK, rows)
+            want = carrier_bpsk_oracle(p.snr_linear, uniforms, m)
+            assert got.shape == (rows, m)
+            assert got.tobytes() == want.tobytes(), snr_db
+        assert np.isinf(got).all()
+        silent = bpsk_matrix(SensingParams(num_samples=m, snr_db=-3300.0), block_generator(31), SignalMode.CARRIER_BPSK, 1)
+        assert not silent.any()
 
 
 class TestStandardNormal:

@@ -233,6 +233,17 @@ class TestMarcumQ:
                 assert abs(marcum_q(u, 0.0, b) - reg_upper_gamma(u, b * b / 2.0)) < 1e-10
         assert marcum_q(5, 0.0, 3.0) == pytest.approx(reg_upper_gamma(5, 4.5), abs=1e-12)
 
+    @pytest.mark.parametrize("u", (1, 5, 50, 500))
+    def test_zero_noncentrality_is_the_gamma_tail_to_the_bit(self, u):
+        # at a = 0 the series stops after its first term, the central
+        # tail: b = 0, forward sums, and tails from their peak at
+        # b^2/2 >= 700, as an array and as floats
+        b = np.sqrt(2.0 * np.array([0.0, 1e-3, 0.5, 0.5 * u, u, 2.0 * u, 699.9, 700.0, 750.0, 1e3, 1e4]))
+        x = 0.5 * b * b
+        assert marcum_q(u, 0.0, b).tobytes() == reg_upper_gamma(u, x).tobytes()
+        for v in b.tolist():
+            assert marcum_q(u, 0.0, v).hex() == reg_upper_gamma(u, 0.5 * v * v).hex(), v
+
     def test_frozen_value_u1_a1_b1(self):
         # arbitrary-precision truth, confirmed by the quadrature
         # oracle below; beware the rounded 0.7334 that sometimes gets
