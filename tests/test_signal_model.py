@@ -223,9 +223,10 @@ class TestCarrierRows:
             want = carrier_bpsk_oracle(p.snr_linear, uniforms, m)
             assert got.shape == (rows, m)
             assert got.tobytes() == want.tobytes(), snr_db
-        assert np.isinf(got).all()
-        silent = bpsk_matrix(SensingParams(num_samples=m, snr_db=-3300.0), block_generator(31), SignalMode.CARRIER_BPSK, 1)
-        assert not silent.any()
+            if snr_db == -3300.0:
+                assert not got.any()
+            if snr_db >= 3081.0:
+                assert np.isinf(got).all()
 
 
 class TestStandardNormal:
