@@ -12,7 +12,10 @@ The detector order u is the time-bandwidth product, an integer, so
 every upper gamma tail, the Marcum series' included, is the finite sum
 exp(-x) * sum_{k<u} x^k / k!: built forward from exp(-x) below
 x = 700, and outward from its largest term beyond, where exp(-x) nears
-underflow. marcum_q has one path for every a: at a = 0 its series is
+underflow. reg_upper_gamma and marcum_q read their tails from one
+generator, the one place that makes this choice: reg_upper_gamma takes
+its order-u column, marcum_q a Poisson mixture of its columns of order
+u and up. marcum_q has one path for every a: at a = 0 its series is
 the central tail, with reg_upper_gamma's bits, after one term. The
 forward sums and the Poisson series step along their index in 2D
 chunks, one row per element, with numpy's sequential accumulates, so
@@ -24,7 +27,6 @@ The normal quantile is the standard library's.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from statistics import NormalDist
@@ -109,17 +111,35 @@ def reg_upper_gamma(u: float, x):
     finite sum exp(-x) * sum_{k<u} x^k / k!; others raise ValueError.
     """
     _check_order("reg_upper_gamma", u)
-    return _like(x, _gamma_tails(int(u), checked_values(x, "reg_upper_gamma needs x >= 0")))
+    tails = next(_tails(int(u), checked_values(x, "reg_upper_gamma needs x >= 0")))
+    return _like(x, np.minimum(tails[:, 0], 1.0))
 
 
-def _gamma_tails(n: int, x: np.ndarray) -> np.ndarray:
-    # both finite sums are >= +0.0, so only the top clip can bind; x = 0
-    # sums to exactly 1, and from x = 700 a tail is summed from its peak
+def _tails(n: int, x: np.ndarray):
+    # gamma tails of orders n, n + 1, ..., n + _MAX_TERMS, one row per
+    # element of x: a column for order n, then chunks of the rest. Below
+    # x = 700 they come from one running finite sum (the tail of order
+    # m + 1 adds one term to that of order m), with the other rows run at
+    # x = 0, whose terms are 0.0 after the first and add nothing; from
+    # x = 700 each tail is summed afresh from its peak. Every tail is a
+    # sum of terms >= +0.0, so of a clip to [0, 1] only the top can bind.
     peak = x >= 700.0
-    tails = np.minimum(_finite_sum(n, np.where(peak, 0.0, x))[1], 1.0)
-    for i in np.flatnonzero(peak).tolist():
-        tails[i] = min(_finite_sum_from_peak(n, float(x[i])), 1.0)
-    return tails
+    values = x[peak].tolist()
+    forward = np.where(peak, 0.0, x)
+
+    def with_peaks(tails: np.ndarray, order: int) -> np.ndarray:
+        # tails of orders order, order + 1, ... with its peak rows filled
+        if values:
+            orders = range(order, order + tails.shape[1])
+            tails[peak] = [[_finite_sum_from_peak(m, v) for m in orders] for v in values]
+        return tails
+
+    term, partial = _finite_sum(n, forward)
+    yield with_peaks(partial[:, None], n)
+    for first, width in _chunks(x.size, n, n + _MAX_TERMS):
+        term, tails = _step(term, partial, forward, first, width)
+        partial = tails[:, -1]
+        yield with_peaks(tails, first + 1)
 
 
 def _chunks(rows: int, start: int, stop: int):
@@ -211,12 +231,12 @@ def marcum_q(u: float, a: float, b):
     the result is reg_upper_gamma(u, b^2/2) to the bit: the central
     case needs no branch of its own.
 
-    Below b^2/2 = 700 the tails come from one running finite sum,
-    stepped a term per Poisson step: the same operations in the same
-    order as reg_upper_gamma, so the same bits, at O(1) per tail
-    instead of O(u + k). From there each tail is summed afresh from its
-    peak, as reg_upper_gamma does. Every tail is a sum of terms >= +0.0,
-    so of the clip to [0, 1] only the top one can bind. The series
+    The tails come from the generator reg_upper_gamma reads, so each
+    has the bits of reg_upper_gamma at its order. Below b^2/2 = 700 the
+    generator steps one running finite sum a term per Poisson step, at
+    O(1) per tail instead of O(u + k); from there it sums each tail
+    afresh from its peak. Every tail is a sum of terms >= +0.0, so of
+    the clip to [0, 1] only the top one can bind. The series
     start exp(-a^2/2) is subnormal, short of bits, once a^2/2 passes
     708.4 (28.50 dB), and ConvergenceError is raised there.
     """
@@ -233,33 +253,12 @@ def marcum_q(u: float, a: float, b):
             f"({10.0 * math.log10(h):.2f} dB), and exp(-a^2/2) is subnormal past 708.4 (28.50 dB)"
         )
     q = np.ones_like(x)  # b == 0 gives 1
-    forward = (values > 0.0) & (x < 700.0)
-    for rows, tails in ((forward, _forward_tails), (x >= 700.0, _peak_tails)):
-        if rows.any():
-            q[rows] = _poisson_sum(h, tails(n, x[rows]))
+    rows = values > 0.0
+    q[rows] = _poisson_sum(h, _tails(n, x[rows]))
     if np.isnan(q).any():
         stalled = float(values[np.isnan(q)][0])
         raise ConvergenceError(f"marcum_q series stalled at u={u!r}, a={a!r}, b={stalled!r}")
     return _like(b, q)
-
-
-def _forward_tails(n: int, x: np.ndarray):
-    # gamma tails of orders n, n + 1, ... from one running finite sum
-    # (the tail of order m + 1 adds one term to that of order m): a
-    # column for order n, then chunks up to order n + _MAX_TERMS
-    term, partial = _finite_sum(n, x)
-    yield partial[:, None]
-    for first, width in _chunks(x.size, n, n + _MAX_TERMS):
-        term, partials = _step(term, partial, x, first, width)
-        partial = partials[:, -1]
-        yield partials
-
-
-def _peak_tails(n: int, x: np.ndarray):
-    # the same chunks of tails, each summed afresh from its peak
-    values = x.tolist()
-    for first, width in itertools.chain([(n, 1)], _chunks(len(values), n + 1, n + 1 + _MAX_TERMS)):
-        yield np.array([[_finite_sum_from_peak(m, v) for m in range(first, first + width)] for v in values])
 
 
 def _poisson_sum(h: float, tails) -> np.ndarray:

@@ -680,7 +680,7 @@ def resolved_verdicts(energies, pair, config):
     return np.array([count_band(np.array([energy]), pair, config).resolved_occupied == 1 for energy in energies])
 
 
-class TestBisectArray:
+class TestResolvedVerdicts:
     def test_matches_scalar_loop(self):
         pair = ThresholdPair(12.0, 18.0)
         rng = np.random.default_rng(17)
