@@ -9,13 +9,15 @@ A command parses its flags, calls the library and only formats the
 result: `roc` is one `roc_table` call, `collision` one
 `collision_sweep` call, `bisect` one `bisection_optimum_threshold`
 call, and `tables` lays out beside the paper's rows the closed forms
-of one unit-noise chi-square `tails` pair.
+of one unit-noise chi-square `tails` pair. It returns its tables (CSV
+path -> rows) and the manifest values that replace raw flags; `main`
+writes the CSVs and the manifest.
 
 Every run is deterministic given its flags. The seed comes from
 --seed, else the CRN_SENSE_SEED environment variable, else 0. CSV
 cells use %.17g so files round-trip losslessly; a flat key=value
-manifest is written next to each output. Exit codes: 0 on success,
-2 for usage or validation problems, 1 for runtime failures.
+manifest is written next to each run's output. Exit codes: 0 on
+success, 2 for usage or validation problems, 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -109,13 +111,6 @@ def _resolve_seed(flag_value: int | None) -> int:
         raise ValueError(f"CRN_SENSE_SEED must be an integer, got {raw!r}") from None
 
 
-def _flag_parameters(args: argparse.Namespace, **resolved) -> dict:
-    """Manifest parameters: every flag but --out, resolved values replacing raw ones."""
-    parameters = {key: value for key, value in vars(args).items() if key not in ("command", "func", "out")}
-    parameters.update(resolved)
-    return parameters
-
-
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -188,8 +183,7 @@ def _report_columns(report: DoubleThresholdReport) -> list[tuple[str, float]]:
     ]
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+def cmd_tables(args: argparse.Namespace) -> tuple[dict, dict]:
     # the tables' levels are in units of the noise variance, so the
     # chi-square pair is taken at unit noise; --samples and --noise-var
     # are only validated
@@ -251,13 +245,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
                     ("recomputed_reduction", fixture_row.pc_optimum - fixture_row.pc_double),
                 ]
             )
-    _write_csv(args.out, rows)
-    _write_manifest(args.out, "tables", _flag_parameters(args), [args.out], time.monotonic() - start)
-    return 0
+    return {args.out: rows}, {}
 
 
-def cmd_roc(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+def cmd_roc(args: argparse.Namespace) -> tuple[dict, dict]:
     seed = _resolve_seed(args.seed)
     config = _trial_config(args, seed)
     grid = _parse_grid(args.grid)
@@ -273,35 +264,31 @@ def cmd_roc(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--noise-var {noise_variance!r} is too small for level {top!r}: their ratio is no finite double"
         )
-    outputs = []
-    for suffix, rows in roc_table(pairs, config, bisection).items():
-        path = _suffixed(args.out, suffix)
-        columns = [
+    files = {
+        _suffixed(args.out, suffix): [
             [("lambda", point.threshold), ("pf_analytic", point.pf), ("pd_analytic", point.pd),
              ("pf_emp", pf.rate), ("pd_emp", pd.rate), ("pf_ci", pf.ci95_halfwidth), ("pd_ci", pd.ci95_halfwidth)]
             for point, pf, pd in rows
         ]
-        _write_csv(path, columns)
-        outputs.append(path)
-    _write_manifest(args.out, "roc", _flag_parameters(args, seed=seed), outputs, time.monotonic() - start)
-    return 0
+        for suffix, rows in roc_table(pairs, config, bisection).items()
+    }
+    return files, {"seed": seed}
 
 
-def cmd_collision(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+def cmd_collision(args: argparse.Namespace) -> tuple[dict, dict]:
     seed = _resolve_seed(args.seed)
     config = _trial_config(args, seed)
     if args.paper_table5:
-        if args.pair:
+        if args.pairs:
             raise ValueError("--paper-table5 and --pair are mutually exclusive")
         if args.energy is not None:
             raise ValueError("--paper-table5 and --energy are mutually exclusive")
         pairs = [ThresholdPair(r.lambda_low, r.lambda_high) for r in COLLISION_ROWS]
         energy = COLLISION_SENSED_ENERGY
     else:
-        if not args.pair:
+        if not args.pairs:
             raise ValueError("no threshold pairs given; use --pair low:high or --paper-table5")
-        pairs = [_parse_pair(text) for text in args.pair]
+        pairs = [_parse_pair(text) for text in args.pairs]
         if args.energy is None:
             raise ValueError("--energy is required with explicit pairs")
         energy = args.energy
@@ -320,30 +307,22 @@ def cmd_collision(args: argparse.Namespace) -> int:
         ]
         for index, entry in enumerate(table, start=1)
     ]
-    _write_csv(args.out, rows)
     pairs_text = ";".join(f"{p.lambda_low}:{p.lambda_high}" for p in pairs)
-    parameters = _flag_parameters(args, seed=seed, energy=energy, pairs=pairs_text)
-    del parameters["pair"]  # recorded as the parsed pairs
-    _write_manifest(args.out, "collision", parameters, [args.out], time.monotonic() - start)
-    return 0
+    return {args.out: rows}, {"seed": seed, "energy": energy, "pairs": pairs_text}
 
 
-def cmd_bisect(args: argparse.Namespace) -> int:
-    start = time.monotonic()
+def cmd_bisect(args: argparse.Namespace) -> tuple[dict, dict]:
     pair = ThresholdPair(args.lambda_low, args.lambda_high)
     result = bisection_optimum_threshold(
         pair, args.energy, BisectionConfig(max_iter=args.max_iter)
     )
     print(",".join(_fmt(mid) for mid in result.trace))
     print(_fmt(result.lambda_opt))
-    if args.out:
-        rows = [
-            [("iteration", index), ("midpoint", mid), ("is_final", 1 if index == len(result.trace) else 0)]
-            for index, mid in enumerate(result.trace, start=1)
-        ]
-        _write_csv(args.out, rows)
-        _write_manifest(args.out, "bisect", _flag_parameters(args), [args.out], time.monotonic() - start)
-    return 0
+    rows = [
+        [("iteration", index), ("midpoint", mid), ("is_final", 1 if index == len(result.trace) else 0)]
+        for index, mid in enumerate(result.trace, start=1)
+    ]
+    return ({args.out: rows} if args.out else {}), {}
 
 
 def _add_sensing_flags(parser: argparse.ArgumentParser) -> None:
@@ -402,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     roc.set_defaults(func=cmd_roc)
 
     collision = sub.add_parser("collision", help="collision comparison across threshold bands")
-    collision.add_argument("--pair", action="append", help="threshold band low:high; repeatable")
+    collision.add_argument(
+        "--pair", action="append", dest="pairs", metavar="PAIR", help="threshold band low:high; repeatable"
+    )
     collision.add_argument("--paper-table5", action="store_true", help="use the published collision bands")
     collision.add_argument("--energy", type=float, default=None, help="representative fuzzy energy")
     collision.add_argument("--max-iter", type=int, default=4, help="bisection depth")
@@ -434,7 +415,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        start = time.monotonic()
+        files, resolved = args.func(args)
+        for path, rows in files.items():
+            _write_csv(path, rows)
+        if files:
+            parameters = {key: value for key, value in vars(args).items() if key not in ("command", "func", "out")}
+            _write_manifest(args.out, args.command, parameters | resolved, list(files), time.monotonic() - start)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

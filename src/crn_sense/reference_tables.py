@@ -62,7 +62,10 @@ class PrintedCollisionRow:
 
 
 # Detection comparison: probability is the resolved detector's detection
-# rate; difference = probability - PD_DOUBLE_PRINTED as printed.
+# rate; difference = probability - PD_DOUBLE_PRINTED as printed. It and
+# PD_DOUBLE_PRINTED (at lambda 18) follow pd_marcum(printed lambda,
+# 10^-0.4 / 2, 5) within 5e-5: Digham, Alouini and Simon's a = sqrt(gamma)
+# at gamma = -4 dB, not the -14 dB default (acceptance 11).
 DETECTION_ROWS: tuple[PrintedComparisonRow, ...] = (
     PrintedComparisonRow(12.5, 12.37, 0.2921, 0.2245),
     PrintedComparisonRow(14.0, 13.87, 0.2053, 0.1377),
@@ -75,6 +78,7 @@ DETECTION_ROWS: tuple[PrintedComparisonRow, ...] = (
 )
 
 # False-alarm comparison; difference = probability - PF_DOUBLE_PRINTED.
+# The probability column fits no law tried (README, "Known quirks").
 # The first row's printed difference does not match its own operands
 # (0.9259 - 0.8735 = 0.0524, printed 0.0542); transcribed as printed.
 FALSE_ALARM_ROWS: tuple[PrintedComparisonRow, ...] = (
@@ -89,6 +93,7 @@ FALSE_ALARM_ROWS: tuple[PrintedComparisonRow, ...] = (
 )
 
 # Miss-detection comparison; difference = probability - PM_DOUBLE_PRINTED.
+# It and PM_DOUBLE_PRINTED follow 1 - pd of the detection rows' law.
 MISS_ROWS: tuple[PrintedComparisonRow, ...] = (
     PrintedComparisonRow(12.5, 12.37, 0.7079, -0.2245),
     PrintedComparisonRow(14.0, 13.87, 0.7947, -0.1377),
@@ -101,9 +106,11 @@ MISS_ROWS: tuple[PrintedComparisonRow, ...] = (
 )
 
 # Collision comparison across bands; reduction = pc_optimum - pc_double
-# as printed. The second row's printed reduction does not match its own
-# operands (0.9731 - 0.9801 = -0.0070, printed -0.0007); transcribed as
-# printed.
+# as printed. pc_optimum is 1 - pd(printed lambda_opt) and pc_double is
+# 1 - pd(lambda_high), the miss rate at the upper level, under the
+# detection rows' law; pf fits no law tried. The second row's printed
+# reduction does not match its own operands (0.9731 - 0.9801 = -0.0070,
+# printed -0.0007); transcribed as printed.
 COLLISION_ROWS: tuple[PrintedCollisionRow, ...] = (
     PrintedCollisionRow(8.0, 20.0, 14.75, 0.9627, 0.8354, 0.8561, -0.1273),
     PrintedCollisionRow(7.0, 22.0, 21.06, 0.9801, 0.9731, 0.8365, -0.0007),

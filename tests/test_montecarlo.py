@@ -1130,6 +1130,18 @@ class TestCollisionSweep:
         )
         assert rows[0].pc_double.successes == 0
 
+    def test_one_energy_per_pair(self):
+        # each row's threshold comes from its own energy; the counts,
+        # which the energies do not enter, equal those of one shared energy
+        pairs = [ThresholdPair(12.0, 18.0), ThresholdPair(8.0, 20.0)]
+        config = replace(self.CONFIG, num_trials=2000)
+        rows = collision_sweep(pairs, [14.5, 17.0], config)
+        shared = collision_sweep(pairs, [14.5], config)
+        assert [row.lambda_opt for row in rows] == [14.625, 19.25]
+        assert [(row.pc_double, row.pc_optimum, row.pf) for row in rows] == [
+            (row.pc_double, row.pc_optimum, row.pf) for row in shared
+        ]
+
     def test_scenario_broadcast_and_validation(self):
         pairs = [ThresholdPair(12.0, 18.0), ThresholdPair(8.0, 20.0)]
         with pytest.raises(ValueError):
