@@ -377,6 +377,23 @@ class TestArrayArguments:
             x = 0.5 * b * b
             assert reg_upper_gamma(u, x).tolist() == [reg_upper_gamma(u, v) for v in x.tolist()], (u, snr_db)
 
+    @pytest.mark.parametrize("u", (1, 5, 50))
+    def test_wide_calls_equal_calls_of_eight(self, u):
+        # 4097 levels step every chunk one order at a time (the row loop
+        # of specfun._accumulate), calls of 8 levels take numpy's
+        # accumulate; two levels are summed from their peak. A chunk of
+        # 4097 levels has at most _CHUNK_DOUBLES // 4097 rows, and every
+        # chunk has two rows or more.
+        assert 4097 >= specfun._LOOP_RATIO * (specfun._CHUNK_DOUBLES // 4097)
+        assert 8 < specfun._LOOP_RATIO * 2
+        x = np.concatenate([np.linspace(0.0, 699.0, 4095), [700.0, 1000.0]])
+        b = np.sqrt(2.0 * x)
+        for a in (0.0, *(math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)) for snr_db in (-14, 10, 20, 25))):
+            narrow = [marcum_q(u, a, b[i : i + 8]) for i in range(0, b.size, 8)]
+            assert marcum_q(u, a, b).tolist() == np.concatenate(narrow).tolist(), a
+        narrow = [reg_upper_gamma(u, x[i : i + 8]) for i in range(0, x.size, 8)]
+        assert reg_upper_gamma(u, x).tolist() == np.concatenate(narrow).tolist()
+
     def test_forward_sums_equal_the_scalar_loop(self):
         # below x = 700 each element is the loop's finite sum, clipped
         x = np.concatenate([np.linspace(0.0, 60.0, 121), np.linspace(60.0, 699.9, 33)])
