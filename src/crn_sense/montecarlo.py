@@ -21,7 +21,10 @@ keeps up to _MEMO_BYTES (32 MiB) of blocks' statistics in a
 least-recently-used cache keyed by (seed, params, model, mode,
 hypothesis, block index, rows), a partial last block under its own
 size, and a repeat call copies them instead of drawing again; a block
-depends on its key alone, so this changes time, never a bit.
+depends on its key alone, so this changes time, never a bit. The
+library's counters sort each hypothesis's fresh draw in place and count
+it before drawing the other, so one array of statistics is live at a
+time; count_bands, given the caller's array, sorts a copy.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -325,14 +328,29 @@ def count_bands(
     """Verdict counts of `stats` against each pair; resolves fuzzy trials given a bisection.
 
     One sorted copy of `stats` serves every pair, so count all of one
-    array's pairs in one call. In that copy a band's Idle, Fuzzy and
-    Occupied trials are three slices, found by binary search at
-    lambda_low (side "left", as stat < lambda_low) and at lambda_high
-    (side "right", as stat > lambda_high). A NaN sorts last; no
-    comparison calls it Idle or Occupied, so it counts as Fuzzy, and
-    it is never resolved Occupied.
+    array's pairs in one call; `stats` itself is left as it was. The
+    library's own counters sort each fresh draw in place instead, and
+    count it by the same rules.
     """
-    ordered = np.sort(stats, axis=None)
+    return _count_sorted(np.sort(stats, axis=None), pairs, bisection)
+
+
+def count_band(stats: np.ndarray, pair: ThresholdPair, bisection: BisectionConfig | None = None) -> BandCounts:
+    """count_bands for one pair."""
+    return count_bands(stats, [pair], bisection)[0]
+
+
+def _count_sorted(
+    ordered: np.ndarray, pairs: Sequence[ThresholdPair], bisection: BisectionConfig | None = None
+) -> list[BandCounts]:
+    """count_bands of a sorted 1-D array.
+
+    A band's Idle, Fuzzy and Occupied trials are three slices of
+    `ordered`, found by binary search at lambda_low (side "left", as
+    stat < lambda_low) and at lambda_high (side "right", as stat >
+    lambda_high). A NaN sorts last; no comparison calls it Idle or
+    Occupied, so it counts as Fuzzy, and it is never resolved Occupied.
+    """
     below = np.searchsorted(ordered, [pair.lambda_low for pair in pairs], "left")
     top = np.searchsorted(ordered, [pair.lambda_high for pair in pairs], "right")
     above = np.searchsorted(ordered, np.nan) - top
@@ -346,9 +364,21 @@ def count_bands(
     return counts
 
 
-def count_band(stats: np.ndarray, pair: ThresholdPair, bisection: BisectionConfig | None = None) -> BandCounts:
-    """count_bands for one pair."""
-    return count_bands(stats, [pair], bisection)[0]
+def _count_draw(
+    config: TrialConfig,
+    truth: Hypothesis,
+    count: int | None,
+    pairs: Sequence[ThresholdPair],
+    bisection: BisectionConfig | None = None,
+) -> list[BandCounts]:
+    """count_bands of a fresh draw under `truth`, sorted in place.
+
+    The draw is this call's own array, so no copy is made, and it is
+    dropped on return, before the caller draws the other hypothesis.
+    """
+    stats = _statistics(config, truth, count)
+    stats.sort()
+    return _count_sorted(stats, pairs, bisection)
 
 
 def _resolved_count(fuzzy: np.ndarray, pair: ThresholdPair, depth: int) -> int:
@@ -389,7 +419,7 @@ def estimate_single(threshold: float, config: TrialConfig, truth: Hypothesis) ->
     """Rate of the statistic exceeding a single threshold under `truth`."""
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
-    counts = count_band(_statistics(config, truth), ThresholdPair(threshold, threshold))
+    [counts] = _count_draw(config, truth, None, [ThresholdPair(threshold, threshold)])
     return RateEstimate(successes=counts.above, trials=config.num_trials)
 
 
@@ -419,10 +449,9 @@ def estimate_double(
     if resolver not in ("report-fuzzy", "bisection-resolve"):
         raise ValueError(f"unknown resolver: {resolver!r}")
     n_h0, n_h1 = _split_trials(config.num_trials)
-    stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
     resolve = BisectionConfig() if resolver == "bisection-resolve" else None
-    h0 = count_band(stats_h0, pair, resolve)
-    h1 = count_band(stats_h1, pair, resolve)
+    [h0] = _count_draw(config, Hypothesis.H0, n_h0, [pair], resolve)
+    [h1] = _count_draw(config, Hypothesis.H1, n_h1, [pair], resolve)
     if resolver == "report-fuzzy":
         pf_succ = h0.above
         pd_succ = h1.above
@@ -454,7 +483,8 @@ def roc_empirical(lambda_grid: Sequence[float], config: TrialConfig) -> RocCurve
     levels = [ThresholdPair(lam, lam) for lam in sorted((float(x) for x in lambda_grid), reverse=True)]
     if not levels:
         raise ValueError("lambda_grid must be non-empty")
-    h0, h1 = (count_bands(stats, levels) for stats in draw_statistics(config))
+    h0 = _count_draw(config, Hypothesis.H0, None, levels)
+    h1 = _count_draw(config, Hypothesis.H1, None, levels)
     points = [
         RocPoint(pf=idle.above / config.num_trials, pd=busy.above / config.num_trials, threshold=level.lambda_low)
         for level, idle, busy in zip(levels, h0, h1)
@@ -487,7 +517,12 @@ def roc_table(
     resolved = [[resolved_occupied_probability(pair, bisection, survival) for survival in survivals] for pair in pairs]
     # as in levels: every band's lower level as a single threshold, then every band
     bands = [ThresholdPair(pair.lambda_low, pair.lambda_low) for pair in pairs] + list(pairs)
-    counts0, counts1 = (count_bands(stats, bands, bisection) for stats in draw_statistics(config))
+    # both draws before either count, each sorted in place: on the roc
+    # command, counting one before drawing the other raised peak RSS
+    draws = draw_statistics(config)
+    for stats in draws:
+        stats.sort()
+    counts0, counts1 = (_count_sorted(stats, bands, bisection) for stats in draws)
     trials, upper = config.num_trials, len(pairs)
     table = {"single": [], "double": [], "optimum": []}
     for index, pair in enumerate(pairs):
@@ -531,8 +566,8 @@ def collision_sweep(
     # thresholds before the draw, so an energy outside its band costs no trials
     resolved = [bisection_optimum_threshold(pair, energy, bisection) for pair, energy in zip(pairs, scenarios)]
     n_h0, n_h1 = _split_trials(config.num_trials)
-    stats_h0, stats_h1 = draw_statistics(config, n_h0, n_h1)
-    counts = zip(count_bands(stats_h0, pairs), count_bands(stats_h1, pairs, bisection))
+    counts0 = _count_draw(config, Hypothesis.H0, n_h0, pairs)
+    counts = zip(counts0, _count_draw(config, Hypothesis.H1, n_h1, pairs, bisection))
     rows = []
     for pair, result, (h0, h1) in zip(pairs, resolved, counts):
         rows.append(

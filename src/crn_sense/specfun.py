@@ -55,7 +55,8 @@ _ABS_TOL = 1e-12
 _MAX_TERMS = 10000
 
 # A series chunk is _FIRST_WIDTH index steps wide at first and doubles,
-# up to about _CHUNK_DOUBLES doubles in all its orders together.
+# up to about _CHUNK_DOUBLES doubles in all its orders together; the
+# Marcum series starts from a width that fits its Poisson weights.
 _FIRST_WIDTH = 16
 _CHUNK_DOUBLES = 2**16
 
@@ -122,10 +123,11 @@ def reg_upper_gamma(u: float, x):
     return _like(x, np.minimum(tails[0], 1.0))
 
 
-def _tails(n: int, x: np.ndarray):
+def _tails(n: int, x: np.ndarray, width: int = _FIRST_WIDTH):
     # gamma tails of orders n, n + 1, ..., n + _MAX_TERMS, one row per
     # order and one column per element of x: a row for order n, then
-    # chunks of the rest. Below x = 700 they come from one running
+    # chunks of the rest, the first `width` orders wide; where the
+    # chunks end changes no bit. Below x = 700 they come from one running
     # finite sum (the tail of order m + 1 adds one term to that of order
     # m), with the other columns run at x = 0, whose terms are 0.0 after
     # the first and add nothing; from x = 700 each tail is summed afresh
@@ -145,17 +147,17 @@ def _tails(n: int, x: np.ndarray):
 
     term, partial = _finite_sum(n, forward)
     yield with_peaks(partial[None], n)
-    for first, width in _chunks(x.size, n, n + _MAX_TERMS):
-        term, tails = _step(term, partial, forward, first, width)
+    for first, step in _chunks(x.size, n, n + _MAX_TERMS, width):
+        term, tails = _step(term, partial, forward, first, step)
         partial = tails[-1].copy()
         yield with_peaks(tails, first + 1)
 
 
-def _chunks(levels: int, start: int, stop: int):
+def _chunks(levels: int, start: int, stop: int, width: int):
     # (first, width) row chunks covering the indices start .. stop - 1,
-    # each holding about _CHUNK_DOUBLES doubles at most over all levels
+    # `width` wide at first and doubling, each holding about
+    # _CHUNK_DOUBLES doubles at most over all levels
     cap = max(1, _CHUNK_DOUBLES // max(levels, 1) - 1)
-    width = _FIRST_WIDTH
     while start < stop:
         step = min(width, cap, stop - start)
         yield start, step
@@ -202,7 +204,7 @@ def _finite_sum(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # same bits.
     term = np.fromiter(map(math.exp, (-x).tolist()), float, x.size)
     partial = term.copy()
-    for first, width in _chunks(x.size, 1, n):
+    for first, width in _chunks(x.size, 1, n, _FIRST_WIDTH):
         if not term.any():
             break
         term, partials = _step(term, partial, x, first, width)
@@ -280,7 +282,11 @@ def marcum_q(u: float, a: float, b):
         )
     q = np.ones_like(x)  # b == 0 gives 1
     positive = values > 0.0
-    q[positive] = _poisson_sum(h, _tails(n, x[positive]))
+    # for every h up to the series-start limit, 1 - mass falls within
+    # 1e-12 by k = h + 7.3 sqrt(h) + 6, so a series whose first chunk is
+    # that wide (8 orders at -14 dB) stops in it unless capped
+    width = math.ceil(h + 7.3 * math.sqrt(h) + 6.0)
+    q[positive] = _poisson_sum(h, _tails(n, x[positive], width))
     if np.isnan(q).any():
         stalled = float(values[np.isnan(q)][0])
         raise ConvergenceError(f"marcum_q series stalled at u={u!r}, a={a!r}, b={stalled!r}")

@@ -836,7 +836,7 @@ class TestCountBands:
 
 class TestOneSortPerHypothesis:
     """Every counter of the library sorts each hypothesis's draw once:
-    one count_bands call per hypothesis, with all its pairs."""
+    one count of the sorted draw per hypothesis, with all its pairs."""
 
     CONFIG = TrialConfig(num_trials=2001, seed=43, model=GenerativeModel.CHISQ)
     PAIRS = [ThresholdPair(12.0, 18.0), ThresholdPair(8.0, 20.0), ThresholdPair(9.0, 9.0)]
@@ -849,23 +849,69 @@ class TestOneSortPerHypothesis:
         ),
         "roc_empirical": (lambda c: roc_empirical(np.linspace(2.0, 30.0, 15), c), (2001, 2001), 15),
     }
+    COUNTERS = {
+        **{name: run for name, (run, _, _) in CALLS.items()},
+        "estimate_single": lambda c: [estimate_single(9.0, c, truth) for truth in Hypothesis],
+    }
 
     @pytest.mark.parametrize("name", CALLS)
     def test_one_count_bands_call_per_hypothesis(self, monkeypatch, name):
         run, sizes, num_pairs = self.CALLS[name]
         calls = []
-        real = montecarlo.count_bands
+        real = montecarlo._count_sorted
 
-        def spy(stats, pairs, bisection=None):
-            calls.append((stats, len(pairs)))
-            return real(stats, pairs, bisection)
+        def spy(ordered, pairs, bisection=None):
+            calls.append((ordered, len(pairs)))
+            return real(ordered, pairs, bisection)
 
-        monkeypatch.setattr(montecarlo, "count_bands", spy)
+        monkeypatch.setattr(montecarlo, "_count_sorted", spy)
         run(self.CONFIG)
         h0, h1 = draw_statistics(self.CONFIG, *sizes)
         assert len(calls) == 2
-        assert np.array_equal(calls[0][0], h0) and np.array_equal(calls[1][0], h1)
+        assert np.array_equal(calls[0][0], np.sort(h0)) and np.array_equal(calls[1][0], np.sort(h1))
         assert [pairs for _, pairs in calls] == [num_pairs, num_pairs]
+
+    @pytest.mark.parametrize("name", COUNTERS)
+    def test_draws_stay_in_trial_order(self, name):
+        # a counter sorts its own copy of each draw, never a cached block
+        # or an array another call is handed
+        montecarlo._block.cache_clear()
+        before = [stats.tobytes() for stats in draw_statistics(self.CONFIG)]
+        self.COUNTERS[name](self.CONFIG)
+        assert [stats.tobytes() for stats in draw_statistics(self.CONFIG)] == before
+
+
+class TestCountersHoldOneDraw:
+    """With the block cache warm, a library counter holds one
+    hypothesis's statistics at a time: it sorts each fresh draw in place
+    and counts it before drawing the other."""
+
+    N = 2**17  # trials per hypothesis, 1 MiB of statistics
+    CONFIG = TrialConfig(num_trials=N, seed=47, model=GenerativeModel.CHISQ)
+    BOTH = replace(CONFIG, num_trials=2 * N)  # split evenly by the double counters
+    PAIRS = [ThresholdPair(12.0, 18.0), ThresholdPair(8.0, 20.0)]
+    CALLS = {
+        "estimate_single": lambda: estimate_single(14.0, TestCountersHoldOneDraw.CONFIG, Hypothesis.H1),
+        "estimate_double": lambda: estimate_double(ThresholdPair(12.0, 18.0), TestCountersHoldOneDraw.BOTH),
+        "estimate_double_resolved": lambda: estimate_double(
+            ThresholdPair(12.0, 18.0), TestCountersHoldOneDraw.BOTH, resolver="bisection-resolve"
+        ),
+        "collision_sweep": lambda: collision_sweep(TestCountersHoldOneDraw.PAIRS, [14.5], TestCountersHoldOneDraw.BOTH),
+        "roc_empirical": lambda: roc_empirical(np.linspace(0.0, 30.0, 31), TestCountersHoldOneDraw.CONFIG),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_peak_is_one_draw(self, name):
+        draw_statistics(self.CONFIG)  # every block the call reads is cached
+        tracemalloc.start()
+        try:
+            self.CALLS[name]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one draw is 8N bytes; a sorted copy beside it, or both
+        # hypotheses' draws at once, would be 16N to 24N
+        assert peak < 1.25 * 8 * self.N, peak / (8 * self.N)
 
 
 @pytest.fixture(scope="module")

@@ -383,12 +383,15 @@ class TestArrayArguments:
         # of specfun._accumulate), calls of 8 levels take numpy's
         # accumulate; two levels are summed from their peak. A chunk of
         # 4097 levels has at most _CHUNK_DOUBLES // 4097 rows, and every
-        # chunk has two rows or more.
+        # chunk has two rows or more. The Marcum series' first chunk
+        # widens with h = a^2/2, from 6 orders at h = 0 to 453 at 25 dB
+        # (h = 316) in the calls of 8, and is capped at 14 in the wide
+        # ones, so their chunks end at different orders.
         assert 4097 >= specfun._LOOP_RATIO * (specfun._CHUNK_DOUBLES // 4097)
         assert 8 < specfun._LOOP_RATIO * 2
         x = np.concatenate([np.linspace(0.0, 699.0, 4095), [700.0, 1000.0]])
         b = np.sqrt(2.0 * x)
-        for a in (0.0, *(math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)) for snr_db in (-14, 10, 20, 25))):
+        for a in (0.0, *(math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)) for snr_db in (-14, -5, 0, 5, 10, 15, 20, 25))):
             narrow = [marcum_q(u, a, b[i : i + 8]) for i in range(0, b.size, 8)]
             assert marcum_q(u, a, b).tolist() == np.concatenate(narrow).tolist(), a
         narrow = [reg_upper_gamma(u, x[i : i + 8]) for i in range(0, x.size, 8)]
