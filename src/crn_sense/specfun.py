@@ -10,22 +10,23 @@ argument ranges a detection problem produces.
 
 The detector order u is the time-bandwidth product, an integer, so
 every upper gamma tail, the Marcum series' included, is the finite sum
-exp(-x) * sum_{k<u} x^k / k!: built forward from exp(-x) below
-x = 700, and outward from its largest term beyond, where exp(-x) nears
-underflow. reg_upper_gamma and marcum_q read their tails from one
-generator, the one place that makes this choice: reg_upper_gamma takes
-its order-u row, marcum_q a Poisson mixture of its rows of order u
-and up. marcum_q has one path for every a: at a = 0 its series is
-the central tail, with reg_upper_gamma's bits, after one term. The
-forward sums and the Poisson series step along their index in 2D
-chunks, one row per order and one column per element. Every running
-product and sum goes down a chunk's rows through _accumulate, one
-ufunc call per row once a chunk has 16 or more elements per row, and
-numpy's accumulate below that, where it is the faster; either way
-each element sees the products and sums of a scalar loop in the same
-order. exp itself is the standard library's per element, as is
-erfc: numpy's exp differs from math.exp in the last bit at some
-arguments. The normal quantile is the standard library's.
+exp(-x) * sum_{k<u} x^k / k!. reg_upper_gamma and marcum_q read their
+tails from one generator: reg_upper_gamma takes its order-u row,
+marcum_q a Poisson mixture of its rows of order u and up. The first
+row is built forward from exp(-x) below x = 700, and outward from its
+largest term beyond, where exp(-x) nears underflow; every later row is
+the row above plus one term, from x = 700 a term taken from log
+space. marcum_q has one path for every a: at a = 0 its series is the
+central tail, with reg_upper_gamma's bits, after one term. The forward
+sums and the Poisson series step along their index in 2D chunks, one
+row per order and one column per element. Every running product and
+sum goes down a chunk's rows through _accumulate, one ufunc call per
+row once a chunk has 16 or more elements per row, and numpy's
+accumulate below that, where it is the faster; either way each
+element sees the products and sums of a scalar loop in the same
+order. exp itself is the standard library's per element, as is erfc:
+numpy's exp differs from math.exp in the last bit at some arguments.
+The normal quantile is the standard library's.
 """
 
 from __future__ import annotations
@@ -127,30 +128,19 @@ def _tails(n: int, x: np.ndarray, width: int = _FIRST_WIDTH):
     # gamma tails of orders n, n + 1, ..., n + _MAX_TERMS, one row per
     # order and one column per element of x: a row for order n, then
     # chunks of the rest, the first `width` orders wide; where the
-    # chunks end changes no bit. Below x = 700 they come from one running
-    # finite sum (the tail of order m + 1 adds one term to that of order
-    # m), with the other columns run at x = 0, whose terms are 0.0 after
-    # the first and add nothing; from x = 700 each tail is summed afresh
-    # from its peak. Every tail is a sum of terms >= +0.0, so of a clip
-    # to [0, 1] only the top can bind. Each chunk after the first is a
-    # fresh array that the caller may overwrite.
-    peak = x >= 700.0
-    values = x[peak].tolist()
-    forward = np.where(peak, 0.0, x) if values else x
-
-    def with_peaks(tails: np.ndarray, order: int) -> np.ndarray:
-        # tails of orders order, order + 1, ... with its peak columns filled
-        if values:
-            orders = range(order, order + tails.shape[0])
-            tails[:, peak] = [[_finite_sum_from_peak(m, v) for v in values] for m in orders]
-        return tails
-
-    term, partial = _finite_sum(n, forward)
-    yield with_peaks(partial[None], n)
+    # chunks end changes no bit. The order-n row is the running finite
+    # sum below x = 700 and the sum from the peak from there; each later
+    # row adds one term to the row above (DLMF 8.8). Every tail is a sum
+    # of terms >= +0.0, so of a clip to [0, 1] only the top can bind.
+    # Each chunk after the first is a fresh array the caller may overwrite.
+    peak = np.flatnonzero(x >= 700.0)
+    term, partial = _finite_sum(n, x)
+    partial[peak] = [_finite_sum_from_peak(n, v) for v in x[peak].tolist()]
+    yield partial[None]
     for first, step in _chunks(x.size, n, n + _MAX_TERMS, width):
-        term, tails = _step(term, partial, forward, first, step)
+        term, tails = _step(term, partial, x, first, step, peak)
         partial = tails[-1].copy()
-        yield with_peaks(tails, first + 1)
+        yield tails
 
 
 def _chunks(levels: int, start: int, stop: int, width: int):
@@ -183,25 +173,32 @@ def _accumulate(ufunc: np.ufunc, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _step(term: np.ndarray, partial: np.ndarray, x: np.ndarray, first: int, width: int):
+def _step(term: np.ndarray, partial: np.ndarray, x: np.ndarray, first: int, width: int, peak=()):
     # the running finite sums advanced by the terms k = first .. first +
     # width - 1, term *= x / k then partial += term: (last terms, partial
     # sum after each term, one row per term). The running product keeps
     # every term in range even when x^k alone would overflow (k, x up to
-    # several hundred).
+    # several hundred). The peak columns (x >= 700), whose exp(-x) nears
+    # underflow, take each term by Stirling's series in log space (off by
+    # 1e-15 or more only below k = 240, where each such term is < 1e-89)
+    # and math.exp per element, so that no bit depends on the array width.
     block = np.empty((width + 1, x.size))
     block[0] = term
     np.divide(x, np.arange(first, first + width)[:, None], out=block[1:])
-    term = _accumulate(np.multiply, block)[-1].copy()
+    _accumulate(np.multiply, block)
+    if len(peak):
+        values = x[peak].tolist()
+        block[1:, peak] = [[math.exp(_log_poisson(k, v, 1)) for v in values] for k in range(first, first + width)]
+    term = block[-1].copy()
     block[0] = partial
     return term, _accumulate(np.add, block)[1:]
 
 
 def _finite_sum(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (last terms, partial sums) of exp(-x) * sum_{k<n} x^k / k! for an
-    # array of x < 700. Once every term has underflowed to 0.0 every
-    # later one is 0.0 and adds nothing, so stopping there returns the
-    # same bits.
+    # array of x, right below x = 700; _tails discards the columns from
+    # there. Once every term has underflowed to 0.0 every later one is
+    # 0.0 and adds nothing, so stopping there returns the same bits.
     term = np.fromiter(map(math.exp, (-x).tolist()), float, x.size)
     partial = term.copy()
     for first, width in _chunks(x.size, 1, n, _FIRST_WIDTH):
@@ -236,11 +233,12 @@ def _finite_sum_from_peak(n: int, x: float) -> float:
     return total
 
 
-def _log_poisson(k: int, x: float) -> float:
-    # log(x^k e^-x / k!). From k = 1000 on, Stirling's series keeps the
-    # near-cancelling k log x and log k! apart, which at k = 10^6 would
-    # otherwise leave an error of ~1e-9 in the exponent.
-    if k < 1000:
+def _log_poisson(k: int, x: float, stirling_from: int = 1000) -> float:
+    # log(x^k e^-x / k!). From k = stirling_from on, Stirling's series
+    # keeps the near-cancelling k log x and log k! apart, which would
+    # otherwise leave an error of up to 2e-12 in the exponent near k = 900
+    # and ~1e-9 at k = 10^6.
+    if k < stirling_from:
         return k * math.log(x) - x - math.lgamma(k + 1)
     d = x - k
     return k * math.log1p(d / k) - d - 0.5 * math.log(2.0 * math.pi * k) - 1.0 / (12 * k) + 1.0 / (360 * k**3)
@@ -259,14 +257,15 @@ def marcum_q(u: float, a: float, b):
     the result is reg_upper_gamma(u, b^2/2) to the bit: the central
     case needs no branch of its own.
 
-    The tails come from the generator reg_upper_gamma reads, so each
-    has the bits of reg_upper_gamma at its order. Below b^2/2 = 700 the
-    generator steps one running finite sum a term per Poisson step, at
-    O(1) per tail instead of O(u + k); from there it sums each tail
-    afresh from its peak. Every tail is a sum of terms >= +0.0, so of
-    the clip to [0, 1] only the top one can bind. The series
-    start exp(-a^2/2) is subnormal, short of bits, once a^2/2 passes
-    708.4 (28.50 dB), and ConvergenceError is raised there.
+    The tails come from the generator reg_upper_gamma reads, which
+    steps one running finite sum a term per Poisson step, at O(1) per
+    tail instead of O(u + k). Below b^2/2 = 700 every tail has the bits
+    of reg_upper_gamma at its order; from there only the first does,
+    and each later one adds a term taken from log space. Every tail is
+    a sum of terms >= +0.0, so of the clip to [0, 1] only the top one
+    can bind. The series start exp(-a^2/2) is subnormal, short of bits,
+    once a^2/2 passes 708.4 (28.50 dB), and ConvergenceError is raised
+    there.
     """
     _check_order("marcum_q", u)
     if not (math.isfinite(a) and a >= 0.0):

@@ -5,7 +5,8 @@ principles, never against the package's own code paths, so that a
 test comparing the two is a genuine dual-route check. The one
 exception is marcum_series_oracle, which repeats the textbook Marcum
 series on the package's own reg_upper_gamma so that a test can demand
-bit equality from the faster way marcum_q sums the same series.
+bit equality from the faster way marcum_q sums the same series wherever
+b^2/2 < 700.
 carrier_bpsk_oracle likewise keeps an earlier order of operations, the
 amplitude times the symbols and then the carrier, so that a test can
 demand the same bits from the prescaled carrier row.
@@ -73,7 +74,11 @@ def marcum_series_oracle(u: float, a: float, b):
     once 1 - (Poisson mass) <= 1e-12 * (1 + sum), within 10000 terms.
     b is a float or an ndarray of them for the one (u, a): each term is
     then one array call over every b, and each element stops at its
-    own first such k, so it gets the float call's bits.
+    own first such k, so it gets the float call's bits. marcum_q has
+    these bits below b^2/2 = 700; from there each of its tails after
+    the first adds a term taken from log space to the one before, where
+    every call here sums the tail afresh from its peak, so the two
+    differ in their last bits.
     """
     levels = np.atleast_1d(np.asarray(b, dtype=float))
     x = 0.5 * levels * levels

@@ -28,6 +28,7 @@ from crn_sense import analytic, montecarlo
 from crn_sense.cli import build_parser, main
 from crn_sense.detector import ThresholdPair
 from crn_sense.montecarlo import TrialConfig
+from oracles import noncentral_chi2_sf_oracle
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -252,6 +253,24 @@ class TestRoc:
             for rate in ("pf", "pd"):
                 emp, ci, analytic = (float(row[f"{rate}{column}"]) for column in ("_emp", "_ci", "_analytic"))
                 assert abs(emp - analytic) <= 4 * ci, (row["lambda"], rate, emp, analytic)
+
+    def test_order_1000_thresholds_past_x_700_match_scipy(self, tmp_path):
+        # every level puts b^2/2 near 1000, past x = 700, where each
+        # tail after the first adds one log-space term to the one before
+        out = str(tmp_path / "u1000.csv")
+        args = [
+            "roc", "--model", "chisq", "--u", "1000", "--grid", "1900:2100:31", "--lambda-low", "0",
+            "--lambda-high", "20", "--max-iter", "8", "--trials", "200", "--out", out,
+        ]
+        assert main(args) == 0
+        noncentrality = 2.0 * 10.0 ** (-14.0 / 10.0)
+        for suffix, shift in (("single", 0.0), ("double", 20.0)):
+            for row in rows_of(str(tmp_path / f"u1000_{suffix}.csv")):
+                level = float(row["lambda"]) + shift
+                pf, pd = float(row["pf_analytic"]), float(row["pd_analytic"])
+                assert abs(pf - noncentral_chi2_sf_oracle(level, 2000, 0.0)) <= 5e-12, (suffix, level)
+                assert abs(pd - noncentral_chi2_sf_oracle(level, 2000, noncentrality)) <= 5e-12, (suffix, level)
+                assert pd >= pf - 1.2e-12, (suffix, level)
 
 
 class TestCollision:

@@ -38,10 +38,11 @@ MARCUM_ORDERS = (1, 2, 5)
 MARCUM_A = (0.0, 0.28, 1.0, 3.0)
 MARCUM_B = (0.0, 1.0, 3.5, 6.0)
 
-# Gamma tails from x = 700, where exp(-x) nears underflow and the
-# finite sum is summed outward from its largest term: orders across the
-# whole accepted range, fixed x from 700 to 10^8, and x placed at
-# fractions of the order, where the peak term's exponent cancels most.
+# Gamma tails from x = 700, where exp(-x) nears underflow and
+# reg_upper_gamma sums the finite sum outward from its largest term, as
+# marcum_q does for its first tail: orders across the whole accepted
+# range, fixed x from 700 to 10^8, and x placed at fractions of the
+# order, where the peak term's exponent cancels most.
 PEAK_ORDERS = (1, 2, 5, 10, 50, 100, 500, 1000, 5000, 10**4, 10**5, 5 * 10**5, 10**6)
 PEAK_X = (700.0, 700.5, 710.0, 800.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
 PEAK_X_FRACTIONS = (0.5, 0.9, 0.99, 0.999, 1.0, 1.01, 1.1, 2.0)
@@ -53,7 +54,8 @@ BAD_ORDERS = (2.5, 0, 10**6 + 1, math.inf, math.nan)
 # subnormal, and refused, past 708.4 or 28.50 dB), and thresholds x = b^2/2 placed at fractions of
 # the statistic's mean u + a^2/2, from deep in the lower tail to deep in
 # the upper one. The upper fractions at order 500 or at high SNR put x
-# at 700 or more, where marcum_q leaves the running finite sum.
+# at 700 or more, where marcum_q's running finite sum starts from the
+# peak sum and adds terms taken from log space.
 SERIES_ORDERS = (1, 2, 5, 10, 50, 500)
 SERIES_SNR_DB = tuple(range(-30, 29, 4)) + (28,)
 SERIES_X_FRACTIONS = (0.05, 0.3, 0.7, 0.95, 1.0, 1.05, 1.4, 2.0, 3.0)
@@ -286,7 +288,7 @@ class TestMarcumQ:
         "u, a, b",
         [
             (5, 20.0, 20.0),  # running finite sum: x = 200
-            (5, 20.0, 40.0),  # tails summed from the peak: x = 800
+            (5, 20.0, 40.0),  # first tail summed from the peak: x = 800
         ],
     )
     def test_budget_exhaustion_raises_on_both_paths(self, u, a, b, monkeypatch):
@@ -323,16 +325,56 @@ class TestMarcumQ:
 
     def test_equals_the_one_gamma_call_per_term_series(self):
         # below x = 700 the running finite sum repeats reg_upper_gamma's
-        # operations in the same order, and from there each tail is the
-        # same peak sum, so equality is exact, not approximate
+        # operations in the same order, so equality is exact, not
+        # approximate; from there only the first tail is reg_upper_gamma's
+        # peak sum, and each later one adds a term taken from log space,
+        # which moves the last bits, far inside the series' own tolerance
         points = list(series_grid(SERIES_ORDERS))
-        assert any(b * b / 2.0 >= 700.0 for _, _, b in points)
         levels = {}
         for u, a, b in points:
             levels.setdefault((u, a), []).append(b)
+        past_700 = 0
         for (u, a), bs in levels.items():
             want = marcum_series_oracle(u, a, np.array(bs)).tolist()
-            assert [marcum_q(u, a, b) for b in bs] == want, (u, a)
+            for b, expected in zip(bs, want):
+                got = marcum_q(u, a, b)
+                if b * b / 2.0 < 700.0:
+                    assert got == expected, (u, a, b)
+                else:
+                    past_700 += 1
+                    assert abs(got - expected) <= specfun._ABS_TOL, (u, a, b)
+        assert (len(points), past_700) == (864, 81)
+
+    def test_sums_each_level_from_its_peak_once(self, monkeypatch):
+        # past x = 700 a level's first tail is summed from its peak, and
+        # every later order adds one term to it: one peak sum per level,
+        # not one per level and order
+        calls = []
+        peak_sum = specfun._finite_sum_from_peak
+
+        def counted(n, x):
+            calls.append(n)
+            return peak_sum(n, x)
+
+        monkeypatch.setattr(specfun, "_finite_sum_from_peak", counted)
+        b = np.sqrt(2.0 * np.linspace(690.0, 760.0, 29))
+        marcum_q(5, math.sqrt(400.0), b)
+        assert np.count_nonzero(b * b / 2.0 >= 700.0) == 25
+        assert calls == [5] * 25
+
+    def test_tails_past_x_700_against_scipy(self):
+        # levels about the statistic's mean and from x = 700 to 1000, u = 1
+        # at h = 650 and 708 included, where the first terms of every tail
+        # underflow and only the log-space terms carry it
+        for u in (1, 5, 50, 350, 1000):
+            for h in (0.0, 10.0, 316.0, 650.0, 708.0):
+                mean, sd = u + h, math.sqrt(u + 2.0 * h)
+                x = np.concatenate(
+                    [np.linspace(max(0.0, mean - 8.0 * sd), mean + 8.0 * sd, 20), np.linspace(700.0, 1000.0, 20)]
+                )
+                b = np.sqrt(2.0 * x)
+                expected = noncentral_chi2_sf_oracle(b * b, 2 * u, 2.0 * h)
+                assert np.abs(marcum_q(u, math.sqrt(2.0 * h), b) - expected).max() <= 5e-12, (u, h)
 
     @pytest.mark.parametrize("u, snr_db, x", ABOVE_ONE_POINTS)
     def test_equals_the_series_where_the_running_sum_rounds_above_one(self, u, snr_db, x, monkeypatch):
