@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 _MONOTONE_SLACK = 1e-12  # roundoff allowance when validating curve ordering
-_SLICE_CELLS = 2**12  # cells per survival call of the resolved closed form
+_SLICE_CELLS = 2**12  # cells per slice of the resolved closed form and Monte Carlo count
 
 Survival = Callable[[np.ndarray], np.ndarray]
 

@@ -24,7 +24,7 @@ size, and a repeat call copies them instead of drawing again; a block
 depends on its key alone, so this changes time, never a bit. The
 library's counters sort each hypothesis's fresh draw in place and count
 it before drawing the other, so one array of statistics is live at a
-time; count_bands, given the caller's array, sorts a copy.
+time at any depth; count_bands, given the caller's array, sorts a copy.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import RocCurve, RocPoint, resolved_occupied_probability, tails
+from .analytic import _SLICE_CELLS, RocCurve, RocPoint, resolved_occupied_probability, tails
 from .detector import BisectionConfig, ThresholdPair, _cell_edges, _midpoints, bisection_optimum_threshold
 from .signal_model import (
     Hypothesis,
@@ -391,28 +391,28 @@ def _resolved_count(fuzzy: np.ndarray, pair: ThresholdPair, depth: int) -> int:
     top cell. At full depth an odd cell kept the upper half of its last
     bracket, so the Occupied energies are those strictly inside an odd
     cell, and those on lambda_high if it lies above the last midpoint.
-    The cells are enumerated only while there are no more of them than
-    energies; past that level each energy finishes in _midpoints from
-    its cell.
+    The cells are enumerated to depth 12 at most; deeper, the energies
+    walk on in _midpoints from their cells, 2^12 energies at a time.
     """
     if fuzzy.size == 0:
         return 0
-    level = min(depth, fuzzy.size.bit_length() - 1)
+    level = min(depth, _SLICE_CELLS.bit_length() - 1)
     edges = _cell_edges(pair.lambda_low, pair.lambda_high, level)
-    # each cell's energies: those strictly inside, and in the top cell
-    # those on lambda_high too; a cell of equal edges holds none
-    starts = np.searchsorted(fuzzy, edges[:-1], "right")
-    stops = np.searchsorted(fuzzy, edges[1:], "left")
-    stops[-1] = fuzzy.size
-    sizes = np.maximum(stops - starts, 0)
     if level == depth:
-        return int(sizes[1::2].sum())
-    # the energies cell by cell, each next to its cell's ends
-    offsets = np.cumsum(sizes) - sizes
-    energies = fuzzy[np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)]
-    for mid in _midpoints(np.repeat(edges[:-1], sizes), np.repeat(edges[1:], sizes), energies, depth - level):
-        pass  # only the last midpoint decides
-    return int(np.count_nonzero(energies > mid))
+        # each odd cell's energies: those strictly inside, and in the top
+        # cell those on lambda_high too; a cell of equal edges holds none
+        starts = np.searchsorted(fuzzy, edges[1::2], "right")
+        stops = np.searchsorted(fuzzy, edges[2::2], "left")
+        stops[-1] = fuzzy.size
+        return int(np.maximum(stops - starts, 0).sum())
+    occupied = 0
+    for energies in np.split(fuzzy, range(_SLICE_CELLS, fuzzy.size, _SLICE_CELLS)):
+        # a tie starts at low == energy, so it ends Idle; lambda_high's cell is the top one
+        cells = np.minimum(np.searchsorted(edges, energies, "right"), edges.size - 1)
+        for mid in _midpoints(edges[cells - 1], edges[cells], energies, depth - level):
+            pass  # only the last midpoint decides
+        occupied += int(np.count_nonzero(energies > mid))
+    return occupied
 
 
 def estimate_single(threshold: float, config: TrialConfig, truth: Hypothesis) -> RateEstimate:

@@ -460,7 +460,8 @@ class TestExitCodes:
         def no_draw(*args, **kwargs):
             raise AssertionError("trials drawn before the failure")
 
-        monkeypatch.setattr(montecarlo, "draw_statistics", no_draw)
+        # collision draws each hypothesis on its own, not through draw_statistics
+        monkeypatch.setattr(montecarlo, "_statistics", no_draw)
         out = str(tmp_path / "c.csv")
         # the sensed energy lies outside the band, so no threshold resolves
         argv = ["collision", "--pair", "12:18", "--energy", "30", "--trials", "20000", "--out", out]

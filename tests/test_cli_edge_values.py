@@ -11,9 +11,9 @@ memory failure: no traceback, and no warning (pytest turns warnings
 into errors, so one would fail the run as an exception would).
 
 Flags that size an allocation (--trials, --samples, --u) run with
-draw_statistics replaced by ten fixed statistics, as the exit-code
-tests do. Left out: roc --max-iter 13 to 50, which the resolved
-closed form still sums cell by cell, 2^max_iter cells.
+montecarlo._statistics, through which every command draws, replaced
+by ten fixed statistics. Left out: roc --max-iter 13 to 50, which the
+resolved closed form still sums cell by cell, 2^max_iter cells.
 """
 
 from __future__ import annotations
@@ -70,15 +70,14 @@ CASES = [
 ]
 
 
-def ten_statistics(config, n_h0=None, n_h1=None):
-    stats = np.linspace(0.0, 40.0, 10)
-    return stats, stats.copy()
+def ten_statistics(config, truth, count=None):
+    return np.linspace(0.0, 40.0, 10)
 
 
 @pytest.mark.parametrize("name, flag, values", CASES)
 def test_edge_values_exit_cleanly(name, flag, values, tmp_path, monkeypatch, capsys):
     if flag in SIZES_ALLOCATION:
-        monkeypatch.setattr(montecarlo, "draw_statistics", ten_statistics)
+        monkeypatch.setattr(montecarlo, "_statistics", ten_statistics)
     prefix = COMMANDS[name][0]
     out = [] if name == "bisect" else ["--out", str(tmp_path / "out.csv")]
     for value in values:

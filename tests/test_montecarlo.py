@@ -35,7 +35,7 @@ from crn_sense.analytic import (
     resolved_occupied_probability,
     tails,
 )
-from crn_sense.detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
+from crn_sense.detector import BisectionConfig, ThresholdPair, _cell_edges, bisection_optimum_threshold
 from crn_sense.montecarlo import (
     BLOCK_TRIALS,
     BandCounts,
@@ -799,6 +799,26 @@ class TestCountBands:
                     want = (first["occupied"], first["idle"], first["fuzzy"], final[depth])
                     assert (got.above, got.below, got.inside, got.resolved_occupied) == want, (pair, depth)
             assert np.array_equal(stats, before)
+        # past depth 12 the fuzzy energies walk from their cells 2^12 at a
+        # time: more than 2^12 + 1 of them, on and one ulp above every
+        # depth-12 cell edge, shuffled, then one energy above the band
+        for (low, high), pair in zip(self.BANDS[:3], pairs):
+            edges = _cell_edges(low, high, 12)
+            inside = [rng.uniform(low, high, 64), edges, np.nextafter(edges[:-1], np.inf), [low, high] * 4]
+            family = np.append(rng.permutation(np.concatenate(inside)), np.nextafter(high, np.inf))
+            first = [verdict_oracle(energy, low, high) for energy in family.tolist()]
+            # each energy's resolved Occupied verdict at depths 1 to 60, from one walk
+            final = np.array([
+                np.array(order_rule_trace(low, high, energy, 60)) < energy
+                if verdict == "fuzzy" else [verdict == "occupied"] * 60
+                for energy, verdict in zip(family.tolist(), first)
+            ])
+            for size in (2**12, 2**12 + 1, family.size):
+                counts = Counter(first[:size])
+                for depth in depths:
+                    got = count_band(family[:size], pair, BisectionConfig(max_iter=depth))
+                    want = (counts["occupied"], counts["idle"], counts["fuzzy"], np.count_nonzero(final[:size, depth - 1]))
+                    assert (got.above, got.below, got.inside, got.resolved_occupied) == want, (pair, size, depth)
 
     def test_counts_equal_the_oracle_at_the_deepest_depth(self):
         rng = np.random.default_rng(37)
@@ -897,8 +917,16 @@ class TestCountersHoldOneDraw:
             ThresholdPair(12.0, 18.0), TestCountersHoldOneDraw.BOTH, resolver="bisection-resolve"
         ),
         "collision_sweep": lambda: collision_sweep(TestCountersHoldOneDraw.PAIRS, [14.5], TestCountersHoldOneDraw.BOTH),
+        # every trial fuzzy, bisected past depth 12
+        "collision_sweep_depth_20": lambda: TestCountersHoldOneDraw.all_fuzzy(20),
+        "collision_sweep_depth_40": lambda: TestCountersHoldOneDraw.all_fuzzy(40),
         "roc_empirical": lambda: roc_empirical(np.linspace(0.0, 30.0, 31), TestCountersHoldOneDraw.CONFIG),
     }
+
+    @staticmethod
+    def all_fuzzy(depth):
+        band = ThresholdPair(0.0, 60.0)
+        return collision_sweep([band], [14.5], TestCountersHoldOneDraw.BOTH, BisectionConfig(max_iter=depth))
 
     @pytest.mark.parametrize("name", CALLS)
     def test_peak_is_one_draw(self, name):
