@@ -8,7 +8,9 @@ with 2u degrees of freedom and is keyed on the order u. They are not
 numerically interchangeable, so the caller picks one by name in
 `tails(params, form)`: the pair of survival functions (idle, busy) from
 which the double-threshold report and the resolved detector's closed
-form read every rate. pf_gaussian is pd_gaussian at zero SNR.
+form read every rate. A command's levels and its bands' cell edges
+share survival calls of at most 2^12 + 1 levels, each element with
+the bits of its float call. pf_gaussian is pd_gaussian at zero SNR.
 """
 
 from __future__ import annotations
@@ -157,10 +159,14 @@ def pd_marcum(threshold, snr_linear: float, u: int):
 
 def double_threshold_report(pair: ThresholdPair, survivals: tuple[Survival, Survival]) -> DoubleThresholdReport:
     """All five closed-form rates for one threshold pair, from a `tails` pair."""
-    idle_tail, busy_tail = survivals
     levels = np.array([pair.lambda_high, pair.lambda_low])
-    pd_high, pd_low = busy_tail(levels).tolist()
-    pf_high, pf_low = idle_tail(levels).tolist()
+    busy, idle = (survival(levels).tolist() for survival in survivals[::-1])
+    return _report(idle, busy)
+
+
+def _report(idle: list[float], busy: list[float]) -> DoubleThresholdReport:
+    # the five rates from each tail's values at (lambda_high, lambda_low)
+    (pf_high, pf_low), (pd_high, pd_low) = idle, busy
     return DoubleThresholdReport(pf=pf_high, pd=pd_high, pm=1.0 - pd_high, pc=1.0 - pd_low, pna=pf_low)
 
 
@@ -218,26 +224,71 @@ def resolved_occupied_probability(pair: ThresholdPair, config: BisectionConfig, 
     kept the upper half exactly when k is odd, and only then does it
     exceed the last midpoint, so the Occupied cells are the odd-indexed
     ones. The cell edges go to survival in top-down slices of at most
-    2^12 + 1, one slice up to depth 12. Cells narrower than one ulp of
-    lambda_high are refused: the detector's midpoints stop moving there.
+    2^12 + 1, one slice up to depth 12; a command's bands share calls of
+    at most 2^12 + 1 levels, which moves no bit of this one-band call.
+    Cells narrower than one ulp of lambda_high are refused: the
+    detector's midpoints stop moving there.
     """
-    if pair.width == 0.0:
-        return float(survival(np.array([pair.lambda_high]))[0])
-    if math.ldexp(pair.width, -config.max_iter) < math.ulp(pair.lambda_high):
-        band = f"{pair.lambda_low!r}..{pair.lambda_high!r}"
+    return _closed_forms([survival], [], [pair], config)[0][1][0]
+
+
+def _closed_forms(survivals, levels, pairs=(), config: BisectionConfig | None = None):
+    # [(values at levels, resolved rate of each band)], one per survival.
+    # The levels and then each band's edge slices go to a survival in
+    # consecutive calls of at most _SLICE_CELLS + 1 levels; no element's
+    # bits depend on its call (see `tails`). A band cut under an ulp
+    # raises once every survival read the levels, so that their failures
+    # come first, and before any edge is read.
+    coarse = [p for p in pairs if p.width and math.ldexp(p.width, -config.max_iter) < math.ulp(p.lambda_high)]
+    bands = () if coarse else pairs
+    results = []
+    for survival in survivals:
+        values, totals = [], [None] * len(bands)
+        for call in _packed(_parts(levels, bands, config)):
+            tail = survival(np.concatenate([part for _, part in call]))
+            for band, part in call:
+                here, tail = tail[: part.size], tail[part.size :]
+                if band is None:
+                    values += here.tolist()
+                    continue
+                # odd cells from the top, cell k spanning edges k and k + 1;
+                # the gaps are added in that order onto S(lambda_high), and
+                # a negative gap is roundoff and adds nothing
+                gaps = here[-2::-2] - here[:0:-2]
+                start = here[-1] if totals[band] is None else totals[band]
+                totals[band] = np.add.accumulate(np.concatenate(([start], gaps[gaps > 0.0])))[-1]
+        results.append((values, [min(1.0, float(total)) for total in totals]))
+    if coarse:
+        band = f"{coarse[0].lambda_low!r}..{coarse[0].lambda_high!r}"
         raise ValueError(f"max_iter={config.max_iter} splits band {band} into cells under an ulp")
-    cells = 2 ** config.max_iter
-    step = pair.width / cells
-    total = None
-    for top in range(cells, 0, -_SLICE_CELLS):
-        edges = pair.lambda_low + np.arange(max(top - _SLICE_CELLS, 0), top + 1) * step
-        if top == cells:
-            edges[-1] = pair.lambda_high
-        tail = survival(edges)
-        # odd cells from the top, cell k spanning edges k and k + 1; the
-        # gaps are added in that order onto S(lambda_high), and a
-        # negative gap is roundoff and adds nothing
-        gaps = tail[-2::-2] - tail[:0:-2]
-        start = tail[-1] if total is None else total
-        total = np.add.accumulate(np.concatenate(([start], gaps[gaps > 0.0])))[-1]
-    return min(1.0, float(total))
+    return results
+
+
+def _parts(levels, pairs, config: BisectionConfig | None):
+    # (band, levels): the levels (band None) in pieces of at most
+    # _SLICE_CELLS + 1, then each band's cell edges lambda_low + k * step
+    # in slices of at most _SLICE_CELLS + 1, the top slice first and its
+    # top edge lambda_high itself; a band of zero width is one cell
+    for start in range(0, len(levels), _SLICE_CELLS + 1):
+        yield None, np.array(levels[start : start + _SLICE_CELLS + 1], dtype=float)
+    for band, pair in enumerate(pairs):
+        cells = 2**config.max_iter if pair.width else 1
+        step = pair.width / cells
+        for top in range(cells, 0, -_SLICE_CELLS):
+            edges = pair.lambda_low + np.arange(max(top - _SLICE_CELLS, 0), top + 1) * step
+            if top == cells:
+                edges[-1] = pair.lambda_high
+            yield band, edges
+
+
+def _packed(parts):
+    # consecutive parts in calls of at most _SLICE_CELLS + 1 levels
+    call, room = [], _SLICE_CELLS + 1
+    for band, part in parts:
+        if part.size > room:
+            yield call
+            call, room = [], _SLICE_CELLS + 1
+        call.append((band, part))
+        room -= part.size
+    if call:
+        yield call

@@ -18,12 +18,14 @@ Every run is deterministic given its flags. The seed comes from
 cells use %.17g so files round-trip losslessly; a flat key=value
 manifest is written next to each run's output. Exit codes: 0 on
 success, 2 for usage or validation problems, 1 for runtime failures.
+The parser is built once per process: every `main` call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -33,7 +35,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import __version__
-from .analytic import DoubleThresholdReport, double_threshold_report, resolved_occupied_probability, tails
+from .analytic import DoubleThresholdReport, _closed_forms, _report, tails
 from .detector import BisectionConfig, ThresholdPair, bisection_optimum_threshold
 from .montecarlo import (
     GenerativeModel,
@@ -193,14 +195,13 @@ def cmd_tables(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.which in _COMPARISON_TABLES:
         pair = ThresholdPair(DOUBLE_BAND_LOW, DOUBLE_BAND_HIGH)
         fixture, baseline, printed_name, diff_name = _COMPARISON_TABLES[args.which]
-        double = _report_columns(double_threshold_report(pair, survivals))
-        lambda_opts = np.array(
-            [bisection_optimum_threshold(pair, row.sensed_energy, bisection).lambda_opt for row in fixture]
-        )
-        # one closed-form call per tail over every row's lambda_opt
-        pf_opts, pd_opts = (survival(lambda_opts).tolist() for survival in survivals)
+        lambda_opts = [bisection_optimum_threshold(pair, row.sensed_energy, bisection).lambda_opt for row in fixture]
+        # one call per tail over the band's levels and every row's lambda_opt,
+        # busy first, so that an order past specfun's bound names marcum_q
+        (pd, _), (pf, _) = _closed_forms(survivals[::-1], [pair.lambda_high, pair.lambda_low, *lambda_opts])
+        double = _report_columns(_report(pf[:2], pd[:2]))
         for index, (fixture_row, lambda_opt, pf_opt, pd_opt) in enumerate(
-            zip(fixture, lambda_opts.tolist(), pf_opts, pd_opts), start=1
+            zip(fixture, lambda_opts, pf[2:], pd[2:]), start=1
         ):
             rows.append(
                 [
@@ -221,22 +222,22 @@ def cmd_tables(args: argparse.Namespace) -> tuple[dict, dict]:
                 ]
             )
     else:
-        for index, fixture_row in enumerate(COLLISION_ROWS, start=1):
-            pair = ThresholdPair(fixture_row.lambda_low, fixture_row.lambda_high)
+        pairs = [ThresholdPair(row.lambda_low, row.lambda_high) for row in COLLISION_ROWS]
+        levels = [level for pair in pairs for level in (pair.lambda_high, pair.lambda_low)]
+        (pd, pd_res), (pf, pf_res) = _closed_forms(survivals[::-1], levels, pairs, bisection)
+        for index, (fixture_row, pair) in enumerate(zip(COLLISION_ROWS, pairs)):
             resolved = bisection_optimum_threshold(pair, COLLISION_SENSED_ENERGY, bisection)
-            double = _report_columns(double_threshold_report(pair, survivals))
-            pf_res, pd_res = (resolved_occupied_probability(pair, bisection, survival) for survival in survivals)
             rows.append(
                 [
-                    ("row", index),
+                    ("row", index + 1),
                     ("lambda_low", pair.lambda_low),
                     ("lambda_high", pair.lambda_high),
                     ("sensed_energy", COLLISION_SENSED_ENERGY),
                     ("lambda_opt", resolved.lambda_opt),
-                    *double,
-                    ("analytic_pf_optimum", pf_res),
-                    ("analytic_pd_optimum", pd_res),
-                    ("analytic_pc_optimum", 1.0 - pd_res),
+                    *_report_columns(_report(pf[2 * index : 2 * index + 2], pd[2 * index : 2 * index + 2])),
+                    ("analytic_pf_optimum", pf_res[index]),
+                    ("analytic_pd_optimum", pd_res[index]),
+                    ("analytic_pc_optimum", 1.0 - pd_res[index]),
                     ("paper_printed_lambda_opt", fixture_row.lambda_opt),
                     ("paper_printed_pc_double", fixture_row.pc_double),
                     ("paper_printed_pc_optimum", fixture_row.pc_optimum),
@@ -350,7 +351,9 @@ def _add_trial_flags(parser: argparse.ArgumentParser, trials_help: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The program's parser, built once per process; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="crn-sense",
         description="Energy-detection spectrum sensing: closed forms, Monte Carlo, threshold resolution.",

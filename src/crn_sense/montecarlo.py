@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import _SLICE_CELLS, RocCurve, RocPoint, resolved_occupied_probability, tails
+from .analytic import _SLICE_CELLS, RocCurve, RocPoint, _closed_forms, tails
 from .detector import BisectionConfig, ThresholdPair, _cell_edges, _midpoints, bisection_optimum_threshold
 from .signal_model import (
     Hypothesis,
@@ -510,11 +510,10 @@ def roc_table(
         raise ValueError("pairs must be non-empty")
     # closed forms before the draw, so that an invalid level or a numeric
     # failure costs no trials: every band's lower level, then every upper
-    # one, in one call per tail, then each band's resolved detector
+    # one, then each band's resolved detector, in shared calls per tail
     survivals = tails(config.params, _FORMS[config.model])
-    levels = np.array([pair.lambda_low for pair in pairs] + [pair.lambda_high for pair in pairs])
-    pf_edges, pd_edges = (survival(levels).tolist() for survival in survivals)
-    resolved = [[resolved_occupied_probability(pair, bisection, survival) for survival in survivals] for pair in pairs]
+    levels = [pair.lambda_low for pair in pairs] + [pair.lambda_high for pair in pairs]
+    (pf_edges, pf_res), (pd_edges, pd_res) = _closed_forms(survivals, levels, pairs, bisection)
     # as in levels: every band's lower level as a single threshold, then every band
     bands = [ThresholdPair(pair.lambda_low, pair.lambda_low) for pair in pairs] + list(pairs)
     # both draws before either count, each sorted in place: on the roc
@@ -530,7 +529,7 @@ def roc_table(
         variants = {
             "single": (pf_edges[single], pd_edges[single], counts0[single].above, counts1[single].above),
             "double": (pf_edges[band], pd_edges[band], counts0[band].above, counts1[band].above),
-            "optimum": (*resolved[index], counts0[band].resolved_occupied, counts1[band].resolved_occupied),
+            "optimum": (pf_res[index], pd_res[index], counts0[band].resolved_occupied, counts1[band].resolved_occupied),
         }
         for name, (pf, pd, h0, h1) in variants.items():
             point = RocPoint(pf=pf, pd=pd, threshold=pair.lambda_low)

@@ -58,8 +58,11 @@ _MAX_TERMS = 10000
 # A series chunk is _FIRST_WIDTH index steps wide at first and doubles,
 # up to about _CHUNK_DOUBLES doubles in all its orders together; the
 # Marcum series starts from a width that fits its Poisson weights.
+# 2^14 doubles are 128 KiB, glibc's default mmap threshold: a block
+# under it is reused from the heap, where a larger one is mapped afresh
+# and pays first-touch page faults every chunk.
 _FIRST_WIDTH = 16
-_CHUNK_DOUBLES = 2**16
+_CHUNK_DOUBLES = 2**14
 
 # _accumulate steps a chunk one order at a time once it has at least
 # this many levels per order, and leaves fewer to numpy's accumulate.

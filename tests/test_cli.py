@@ -24,10 +24,11 @@ import sys
 
 import pytest
 
-from crn_sense import analytic, montecarlo
+from crn_sense import analytic, cli, montecarlo
 from crn_sense.cli import build_parser, main
-from crn_sense.detector import ThresholdPair
+from crn_sense.detector import BisectionConfig, ThresholdPair
 from crn_sense.montecarlo import TrialConfig
+from crn_sense.signal_model import SensingParams
 from oracles import noncentral_chi2_sf_oracle
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -42,6 +43,12 @@ def read(path):
 def rows_of(path):
     with open(path, encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def without_duration(path, stem):
+    """A written file's text with its own stem blanked and no duration_seconds= line."""
+    lines = read(path).splitlines()
+    return [line.replace(stem, "") for line in lines if not line.startswith("duration_seconds=")]
 
 
 class TestTables:
@@ -102,6 +109,37 @@ class TestTables:
         assert main(["tables", "--which", which, "--out", plain]) == 0
         assert main(["tables", "--which", which, "--noise-var", "3", "--samples", "50", "--out", scaled]) == 0
         assert read(scaled) == read(plain)
+
+    @pytest.mark.parametrize("which", ["2", "3", "4", "5"])
+    def test_one_survival_call_per_tail(self, tmp_path, spy_tails, which):
+        # tables 2-4: the band's two levels and the 8 rows' lambda_opt;
+        # table 5: the 8 rows' two levels each, then their bands' 17
+        # edges each at depth 4
+        calls = spy_tails(cli)
+        assert main(["tables", "--which", which, "--snr-db", "20", "--out", str(tmp_path / "t.csv")]) == 0
+        size = 8 * (2 + 17) if which == "5" else 2 + 8
+        assert calls == ([size], [size])
+
+    @pytest.mark.parametrize("which", ["2", "3", "4", "5"])
+    def test_columns_equal_the_float_calls(self, tmp_path, which):
+        # the shared call moves no bit: each column is the float call at
+        # its level, or the band's own resolved closed form
+        out = str(tmp_path / "t.csv")
+        assert main(["tables", "--which", which, "--snr-db", "20", "--out", out]) == 0
+        idle, busy = analytic.tails(SensingParams(snr_db=20.0), "gamma-marcum")
+        for row in rows_of(out):
+            low, high = float(row["lambda_low"]), float(row["lambda_high"])
+            assert [float(row[f"analytic_{name}"]) for name in ("pf_double", "pd_double", "pc", "pna")] == [
+                idle(high), busy(high), 1.0 - busy(low), idle(low)
+            ]
+            if which == "5":
+                pair = ThresholdPair(low, high)
+                want = [analytic.resolved_occupied_probability(pair, BisectionConfig(), tail) for tail in (idle, busy)]
+                got = [row["analytic_pf_optimum"], row["analytic_pd_optimum"]]
+            else:
+                want = [idle(float(row["lambda_opt"])), busy(float(row["lambda_opt"]))]
+                got = [row["analytic_pf_opt"], row["analytic_pd_opt"]]
+            assert [float(value) for value in got] == want
 
     def test_samples_are_still_validated(self, tmp_path, capsys):
         out = str(tmp_path / "t.csv")
@@ -498,6 +536,36 @@ class TestExitCodes:
 
 
 class TestParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_write_what_fresh_processes_write(self, tmp_path, monkeypatch):
+        # the shared parser carries nothing from one call to the next
+        monkeypatch.chdir(tmp_path)
+        commands = [
+            ["roc", "--grid", "6:18:3", "--trials", "500"],
+            ["collision", "--pair", "12:18", "--pair", "8:20", "--energy", "14", "--trials", "500"],
+            ["tables", "--which", "5"],
+            ["collision", "--paper-table5", "--trials", "500"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+        for argv in commands:
+            for run in ("first", "second"):
+                assert main([*argv, "--out", f"{run}.csv"]) == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "crn_sense.cli", *argv, "--out", "fresh.csv"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            fresh = {path.name.replace("fresh", ""): path for path in tmp_path.glob("fresh*")}
+            for run in ("first", "second"):
+                written = {path.name.replace(run, ""): path for path in tmp_path.glob(f"{run}*")}
+                assert written.keys() == fresh.keys()
+                for name, path in written.items():
+                    assert without_duration(path, run) == without_duration(fresh[name], "fresh"), (argv, name)
+            for path in tmp_path.iterdir():
+                path.unlink()
+
     def test_defaults(self):
         parser = build_parser()
         args = parser.parse_args(["roc", "--out", "x.csv"])

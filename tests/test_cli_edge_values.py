@@ -88,3 +88,20 @@ def test_edge_values_exit_cleanly(name, flag, values, tmp_path, monkeypatch, cap
             assert err.startswith(("numeric failure:", "memory failure:")), (flag, value, err)
         else:
             assert code in (0, 2), (flag, value, code, err)
+
+
+def test_failures_keep_their_order(tmp_path, capsys):
+    # a failure at a single level comes before any band's depth check,
+    # whether the levels share a survival call with band edges or not
+    out = str(tmp_path / "out.csv")
+    assert main(["roc", "--snr-db", "29", "--max-iter", "60", "--trials", "10", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("numeric failure: marcum_q series start underflows")
+    assert main(["roc", "--max-iter", "60", "--trials", "10", "--out", out]) == 2
+    assert "max_iter=60 splits band 30.0..36.0" in capsys.readouterr().err
+    assert main(["tables", "--which", "5", "--snr-db", "30", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("numeric failure: marcum_q series start underflows")
+    # tables read the busy tail first, roc the idle one
+    for argv, name in ((["tables", "--which", "2"], "marcum_q"), (["tables", "--which", "5"], "marcum_q"),
+                       (["roc", "--trials", "10"], "reg_upper_gamma")):
+        assert main([*argv, "--u", "1000001", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} needs an integer order"), argv

@@ -1092,6 +1092,9 @@ class TestRocTable:
         "sample": (SAMPLE, "gaussian", [ThresholdPair(0.95, 1.05), ThresholdPair(1.2, 1.25),
                                         ThresholdPair(1.0, 1.0), ThresholdPair(0.0, 0.1)]),
     }
+    FEW = replace(CHISQ, num_trials=64)
+    GRID = [ThresholdPair(lam, lam + 6.0) for lam in np.linspace(0.0, 30.0, 31).tolist()]  # roc's default bands
+    BUDGET = 2**12 + 1  # levels per survival call
 
     @pytest.mark.parametrize("model", ["chisq", "sample"])
     def test_rows_equal_the_per_band_oracle(self, model):
@@ -1164,6 +1167,60 @@ class TestRocTable:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs must be non-empty"):
             roc_table([], self.CHISQ, BisectionConfig())
+
+    def test_bands_share_survival_calls(self, spy_tails):
+        # 31 lower and 31 upper levels, then 31 bands of 17 edges at
+        # depth 4: one call per tail, where each band took one of its own
+        calls = spy_tails(montecarlo)
+        roc_table(self.GRID, self.FEW, BisectionConfig(max_iter=4))
+        assert calls == ([62 + 31 * 17], [62 + 31 * 17])
+
+    def test_deep_band_reads_whole_slices(self, spy_tails):
+        # at depth 13 the band's two slices of 2^12 + 1 edges fill a call each
+        calls = spy_tails(montecarlo)
+        roc_table([ThresholdPair(12.0, 18.0)], self.FEW, BisectionConfig(max_iter=13))
+        assert calls == ([2, self.BUDGET, self.BUDGET], [2, self.BUDGET, self.BUDGET])
+
+    @pytest.mark.parametrize("depth", range(1, 15))
+    def test_rates_equal_the_one_band_calls(self, spy_tails, depth):
+        # packing levels and bands into shared calls moves no bit: every
+        # rate equals the float call at its level or the band's own
+        # resolved closed form, and no call passes the budget
+        calls = spy_tails(montecarlo)
+        bisection = BisectionConfig(max_iter=depth)
+        pairs = [ThresholdPair(12.0, 18.0), ThresholdPair(0.7, 3.1), ThresholdPair(630.0, 660.0)]
+        for snr_db in (-14.0, 25.0):
+            config = replace(self.FEW, params=SensingParams(snr_db=snr_db))
+            table = roc_table(pairs, config, bisection)
+            survivals = tails(config.params, "gamma-marcum")
+            for index, pair in enumerate(pairs):
+                single, double, optimum = (table[name][index][0] for name in ("single", "double", "optimum"))
+                assert (single.pf, single.pd) == tuple(tail(pair.lambda_low) for tail in survivals)
+                assert (double.pf, double.pd) == tuple(tail(pair.lambda_high) for tail in survivals)
+                want = tuple(resolved_occupied_probability(pair, bisection, tail) for tail in survivals)
+                assert (optimum.pf, optimum.pd) == want, (snr_db, pair)
+        assert max(calls[0] + calls[1]) <= self.BUDGET
+
+    def test_closed_forms_peak_under_a_mebibyte(self, monkeypatch):
+        # 31 bands at depth 11 reach each tail 2^12 + 1 levels at most a
+        # call; all 63,581 levels in one call per tail peaked at 8.9 MiB
+        class DrawReached(Exception):
+            pass
+
+        peaks = []
+
+        def stop_at_the_draw(config):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise DrawReached
+
+        monkeypatch.setattr(montecarlo, "draw_statistics", stop_at_the_draw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DrawReached):
+                roc_table(self.GRID, self.CHISQ, BisectionConfig(max_iter=11))
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 2**20, peaks[0] / 2**20
 
 
 class TestCollisionSweep:

@@ -427,7 +427,7 @@ class TestArrayArguments:
         # 4097 levels has at most _CHUNK_DOUBLES // 4097 rows, and every
         # chunk has two rows or more. The Marcum series' first chunk
         # widens with h = a^2/2, from 6 orders at h = 0 to 453 at 25 dB
-        # (h = 316) in the calls of 8, and is capped at 14 in the wide
+        # (h = 316) in the calls of 8, and is capped at 2 in the wide
         # ones, so their chunks end at different orders.
         assert 4097 >= specfun._LOOP_RATIO * (specfun._CHUNK_DOUBLES // 4097)
         assert 8 < specfun._LOOP_RATIO * 2
