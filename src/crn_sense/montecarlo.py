@@ -2,9 +2,10 @@
 
 Determinism contract: trials are generated in fixed blocks of 1024,
 each block from its own counter-based stream derived from (seed,
-hypothesis, block index). Worker threads only pick which blocks to
-fill, never how a block is generated, so counts are bit-identical
-for any parallel_chunks value, including 1. Both models read a block
+hypothesis, block index). Worker threads, one per chunk up to the CPU
+count, only pick which blocks to fill, taking the next index from one
+shared iterator, never how a block is generated, so counts are
+bit-identical for any parallel_chunks value, including 1. Both models read a block
 tile by tile, and tiles of rows, like chunks, only choose how its
 stream is transformed: each tile reads its uniforms through cursors
 that start at fixed counter offsets of the block's stream, so a tile
@@ -22,9 +23,12 @@ least-recently-used cache keyed by (seed, params, model, mode,
 hypothesis, block index, rows), a partial last block under its own
 size, and a repeat call copies them instead of drawing again; a block
 depends on its key alone, so this changes time, never a bit. The
-library's counters sort each hypothesis's fresh draw in place and count
-it before drawing the other, so one array of statistics is live at a
-time at any depth; count_bands, given the caller's array, sorts a copy.
+library's counters order each hypothesis's fresh draw in place and
+count it before drawing the other, so one array of statistics is live
+at a time at any depth; count_bands, given the caller's array, orders
+a copy. Ordering sorts only the statistics in the pairs' span, from
+their lowest lambda_low to their highest lambda_high, and counts the
+rest by comparison: a single level sorts only its ties.
 
 Two generative models are available. The sample model draws a full
 window of M amplitudes per trial and averages their squares; it is
@@ -42,8 +46,8 @@ import functools
 import math
 import numbers
 import os
+import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +92,9 @@ _MAX_BLOCK_NORMALS = 2**23
 # _block keeps at most this many bytes of statistics, one block's
 # 8 KiB or less an entry, evicting the least recently used
 _MEMO_BYTES = 32 * 2**20
+# _compact compares this many statistics at a time: a chunk's masks
+# and its in-span copies stay within 88 KiB whatever the draw's size
+_SPAN_CHUNK = 2**13
 
 
 class GenerativeModel(enum.Enum):
@@ -300,15 +307,29 @@ def _statistics(config: TrialConfig, truth: Hypothesis, count: int | None = None
         rows = min(BLOCK_TRIALS, count - start)
         out[start : start + rows] = _block(*key, index, rows)
 
-    # one task per block, and at most one worker per CPU
+    # at most one worker per CPU, the caller and workers - 1 threads,
+    # each taking the next block index from one shared iterator, whose
+    # every next() the interpreter lock makes atomic; the first exception
+    # a worker raised is raised once every worker has ended
     workers = min(config.parallel_chunks, num_blocks, os.cpu_count() or 1)
-    if workers == 1:
-        for index in range(num_blocks):
-            copy(index)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(copy, index) for index in range(num_blocks)]:
-                future.result()
+    indices = iter(range(num_blocks))
+    errors = []
+
+    def work() -> None:
+        try:
+            for index in indices:
+                copy(index)
+        except BaseException as exc:  # re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -327,12 +348,14 @@ def count_bands(
 ) -> list[BandCounts]:
     """Verdict counts of `stats` against each pair; resolves fuzzy trials given a bisection.
 
-    One sorted copy of `stats` serves every pair, so count all of one
-    array's pairs in one call; `stats` itself is left as it was. The
-    library's own counters sort each fresh draw in place instead, and
-    count it by the same rules.
+    One copy of `stats` serves every pair, so count all of one array's
+    pairs in one call; `stats` itself is left as it was. Only the
+    statistics from the pairs' lowest lambda_low to their highest
+    lambda_high are sorted; those outside are counted by comparison.
+    The library's own counters order each fresh draw in place instead,
+    and count it by the same rules.
     """
-    return _count_sorted(np.sort(stats, axis=None), pairs, bisection)
+    return _count_span(np.array(stats).reshape(-1), pairs, bisection)
 
 
 def count_band(stats: np.ndarray, pair: ThresholdPair, bisection: BisectionConfig | None = None) -> BandCounts:
@@ -340,45 +363,79 @@ def count_band(stats: np.ndarray, pair: ThresholdPair, bisection: BisectionConfi
     return count_bands(stats, [pair], bisection)[0]
 
 
-def _count_sorted(
-    ordered: np.ndarray, pairs: Sequence[ThresholdPair], bisection: BisectionConfig | None = None
+def _count_span(
+    stats: np.ndarray, pairs: Sequence[ThresholdPair], bisection: BisectionConfig | None = None
 ) -> list[BandCounts]:
-    """count_bands of a sorted 1-D array.
+    """count_bands of a 1-D array that is reordered in place, as a
+    counter's own fresh draw may be: no copy is made.
+
+    The span runs from the pairs' lowest lambda_low to their highest
+    lambda_high. The statistics below it and above it are only counted;
+    the rest, those in the span and any NaN, which compares as neither,
+    move to the front of `stats`, and only they are sorted. Every
+    band's counts come from that sorted front and the two totals.
+    """
+    if not pairs:
+        return []
+    low = min(pair.lambda_low for pair in pairs)
+    high = max(pair.lambda_high for pair in pairs)
+    kept, under, over = _compact(stats, low, high)
+    span = stats[:kept]
+    span.sort()
+    return _count_sorted(span, pairs, bisection, under, over)
+
+
+def _compact(stats: np.ndarray, low: float, high: float) -> tuple[int, int, int]:
+    """(kept, under, over): the statistics neither below low nor above
+    high moved to stats[:kept] in their order, with the counts of those
+    below and above, compared _SPAN_CHUNK at a time. A function of its
+    own, so its chunk arrays are freed before the count begins."""
+    kept = under = over = 0
+    for start in range(0, stats.size, _SPAN_CHUNK):
+        chunk = stats[start : start + _SPAN_CHUNK]
+        below, above = chunk < low, chunk > high
+        lower, upper = int(np.count_nonzero(below)), int(np.count_nonzero(above))
+        under, over = under + lower, over + upper
+        inside = chunk.size - lower - upper
+        if inside and (kept < start or inside < chunk.size):
+            # either read is a copy, so the front may overlap the chunk;
+            # numpy's masked read is the faster where most of a chunk is
+            # kept, np.compress where little is (4 ns against 2 a statistic)
+            keep = ~(below | above)
+            stats[kept : kept + inside] = chunk[keep] if 2 * inside > chunk.size else np.compress(keep, chunk)
+        kept += inside
+    return kept, under, over
+
+
+def _count_sorted(
+    ordered: np.ndarray,
+    pairs: Sequence[ThresholdPair],
+    bisection: BisectionConfig | None = None,
+    under: int = 0,
+    over: int = 0,
+) -> list[BandCounts]:
+    """count_bands of a sorted 1-D array, beside `under` statistics
+    below every lambda_low and `over` above every lambda_high.
 
     A band's Idle, Fuzzy and Occupied trials are three slices of
     `ordered`, found by binary search at lambda_low (side "left", as
     stat < lambda_low) and at lambda_high (side "right", as stat >
-    lambda_high). A NaN sorts last; no comparison calls it Idle or
+    lambda_high), with the outside statistics added to its Idle and
+    Occupied ends. A NaN sorts last; no comparison calls it Idle or
     Occupied, so it counts as Fuzzy, and it is never resolved Occupied.
     """
     below = np.searchsorted(ordered, [pair.lambda_low for pair in pairs], "left")
     top = np.searchsorted(ordered, [pair.lambda_high for pair in pairs], "right")
     above = np.searchsorted(ordered, np.nan) - top
+    total = under + ordered.size + over
     counts = []
-    for pair, start, stop, over in zip(pairs, below.tolist(), top.tolist(), above.tolist()):
+    for pair, start, stop, higher in zip(pairs, below.tolist(), top.tolist(), above.tolist()):
+        idle, busy = under + start, over + higher
         resolved = None
         if bisection is not None:
-            resolved = over + _resolved_count(ordered[start:stop], pair, bisection.max_iter)
-        inside = ordered.size - over - start
-        counts.append(BandCounts(above=over, below=start, inside=inside, resolved_occupied=resolved))
+            resolved = busy + _resolved_count(ordered[start:stop], pair, bisection.max_iter)
+        counts.append(BandCounts(above=busy, below=idle, inside=total - busy - idle, resolved_occupied=resolved))
     return counts
-
-
-def _count_draw(
-    config: TrialConfig,
-    truth: Hypothesis,
-    count: int | None,
-    pairs: Sequence[ThresholdPair],
-    bisection: BisectionConfig | None = None,
-) -> list[BandCounts]:
-    """count_bands of a fresh draw under `truth`, sorted in place.
-
-    The draw is this call's own array, so no copy is made, and it is
-    dropped on return, before the caller draws the other hypothesis.
-    """
-    stats = _statistics(config, truth, count)
-    stats.sort()
-    return _count_sorted(stats, pairs, bisection)
 
 
 def _resolved_count(fuzzy: np.ndarray, pair: ThresholdPair, depth: int) -> int:
@@ -419,7 +476,7 @@ def estimate_single(threshold: float, config: TrialConfig, truth: Hypothesis) ->
     """Rate of the statistic exceeding a single threshold under `truth`."""
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
-    [counts] = _count_draw(config, truth, None, [ThresholdPair(threshold, threshold)])
+    [counts] = _count_span(_statistics(config, truth), [ThresholdPair(threshold, threshold)])
     return RateEstimate(successes=counts.above, trials=config.num_trials)
 
 
@@ -450,8 +507,9 @@ def estimate_double(
         raise ValueError(f"unknown resolver: {resolver!r}")
     n_h0, n_h1 = _split_trials(config.num_trials)
     resolve = BisectionConfig() if resolver == "bisection-resolve" else None
-    [h0] = _count_draw(config, Hypothesis.H0, n_h0, [pair], resolve)
-    [h1] = _count_draw(config, Hypothesis.H1, n_h1, [pair], resolve)
+    # each draw is ordered in place and dropped before the other is drawn
+    [h0] = _count_span(_statistics(config, Hypothesis.H0, n_h0), [pair], resolve)
+    [h1] = _count_span(_statistics(config, Hypothesis.H1, n_h1), [pair], resolve)
     if resolver == "report-fuzzy":
         pf_succ = h0.above
         pd_succ = h1.above
@@ -483,8 +541,8 @@ def roc_empirical(lambda_grid: Sequence[float], config: TrialConfig) -> RocCurve
     levels = [ThresholdPair(lam, lam) for lam in sorted((float(x) for x in lambda_grid), reverse=True)]
     if not levels:
         raise ValueError("lambda_grid must be non-empty")
-    h0 = _count_draw(config, Hypothesis.H0, None, levels)
-    h1 = _count_draw(config, Hypothesis.H1, None, levels)
+    h0 = _count_span(_statistics(config, Hypothesis.H0), levels)
+    h1 = _count_span(_statistics(config, Hypothesis.H1), levels)
     points = [
         RocPoint(pf=idle.above / config.num_trials, pd=busy.above / config.num_trials, threshold=level.lambda_low)
         for level, idle, busy in zip(levels, h0, h1)
@@ -516,12 +574,9 @@ def roc_table(
     (pf_edges, pf_res), (pd_edges, pd_res) = _closed_forms(survivals, levels, pairs, bisection)
     # as in levels: every band's lower level as a single threshold, then every band
     bands = [ThresholdPair(pair.lambda_low, pair.lambda_low) for pair in pairs] + list(pairs)
-    # both draws before either count, each sorted in place: on the roc
+    # both draws before either count, each ordered in place: on the roc
     # command, counting one before drawing the other raised peak RSS
-    draws = draw_statistics(config)
-    for stats in draws:
-        stats.sort()
-    counts0, counts1 = (_count_sorted(stats, bands, bisection) for stats in draws)
+    counts0, counts1 = (_count_span(stats, bands, bisection) for stats in draw_statistics(config))
     trials, upper = config.num_trials, len(pairs)
     table = {"single": [], "double": [], "optimum": []}
     for index, pair in enumerate(pairs):
@@ -565,8 +620,8 @@ def collision_sweep(
     # thresholds before the draw, so an energy outside its band costs no trials
     resolved = [bisection_optimum_threshold(pair, energy, bisection) for pair, energy in zip(pairs, scenarios)]
     n_h0, n_h1 = _split_trials(config.num_trials)
-    counts0 = _count_draw(config, Hypothesis.H0, n_h0, pairs)
-    counts = zip(counts0, _count_draw(config, Hypothesis.H1, n_h1, pairs, bisection))
+    counts0 = _count_span(_statistics(config, Hypothesis.H0, n_h0), pairs)
+    counts = zip(counts0, _count_span(_statistics(config, Hypothesis.H1, n_h1), pairs, bisection))
     rows = []
     for pair, result, (h0, h1) in zip(pairs, resolved, counts):
         rows.append(

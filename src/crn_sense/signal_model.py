@@ -12,12 +12,17 @@ Draw order fixes which uniform feeds which variate: every pair's first
 uniform, then every second one, then an H1 window's BPSK uniforms,
 row by row. A reader that needs only some of them, as an idle
 window's squared norms need only the pairs' first uniforms, leaves
-the others unread at their offsets.
+the others unread at their offsets. A stream's Philox is built from
+its key and counter alone: its seed sequence hands Philox the key
+(seed, stream) as is, so no OS entropy is drawn for a stream that
+never uses any, and numpy.random itself is imported at the first draw,
+not with the package.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -102,7 +107,12 @@ def check_uint64(name: str, value: int) -> None:
 
 
 def block_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, stream); same pair, same draws."""
+    """Independent generator for (seed, stream); same pair, same draws.
+
+    Its Philox is keyed by (seed, stream) directly, with the draws of
+    Philox(key=[seed, stream]); its seed sequence holds that key and
+    nothing else, so the generator cannot `spawn` child generators.
+    """
     check_uint64("seed", seed)
     check_uint64("stream", stream)
     return _generator_at(seed, stream, 0)
@@ -117,8 +127,27 @@ def _generator_at(seed: int, stream: int, draw: int) -> np.random.Generator:
     """
     if draw % 4:
         raise ValueError(f"draw must be a multiple of 4, got {draw!r}")
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=draw // 4))
+    return np.random.Generator(np.random.Philox(_key_sequence()(seed, stream), counter=draw // 4))
+
+
+@functools.cache
+def _key_sequence() -> type:
+    # Philox(key=...) seeds itself from a fresh SeedSequence(), which
+    # draws OS entropy, before the key replaces it; a seed sequence whose
+    # state is the key gives the same generator without it. The class is
+    # made at the first draw, since its base class imports numpy.random.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        """The key (seed, stream) as a seed sequence: Philox reads it as its two key words."""
+
+        def __init__(self, seed: int, stream: int) -> None:
+            self.key = (seed, stream)
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return np.array(self.key, dtype=dtype)
+
+    return KeySequence
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

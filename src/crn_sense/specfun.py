@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import sys
-from statistics import NormalDist
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_STANDARD_NORMAL = NormalDist()
 _MAX_ORDER = 10**6  # keeps the forward finite sum's O(u) cost bounded
 
 # Marcum series control, read at call time so a test can shrink it:
@@ -108,7 +106,9 @@ def gaussian_q_inv(p: float) -> float:
     """Inverse of gaussian_q on (0, 1): the standard library's normal quantile, negated."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"gaussian_q_inv needs 0 < p < 1, got {p!r}")
-    return -_STANDARD_NORMAL.inv_cdf(p)
+    from statistics import NormalDist  # milliseconds to import, so only when called
+
+    return -NormalDist().inv_cdf(p)
 
 
 def _check_order(name: str, u: float) -> None:
@@ -138,7 +138,8 @@ def _tails(n: int, x: np.ndarray, width: int = _FIRST_WIDTH):
     # Each chunk after the first is a fresh array the caller may overwrite.
     peak = np.flatnonzero(x >= 700.0)
     term, partial = _finite_sum(n, x)
-    partial[peak] = [_finite_sum_from_peak(n, v) for v in x[peak].tolist()]
+    if peak.size:
+        partial[peak] = _sums_from_peak(n, x[peak])
     yield partial[None]
     for first, step in _chunks(x.size, n, n + _MAX_TERMS, width):
         term, tails = _step(term, partial, x, first, step, peak)
@@ -212,27 +213,33 @@ def _finite_sum(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return term, partial
 
 
-def _finite_sum_from_peak(n: int, x: float) -> float:
-    # exp(-x) * sum_{k<n} x^k / k! where exp(-x) alone nears underflow:
-    # start at the largest term, k = min(n - 1, floor(x)), taken in log
-    # space, and add the terms below it and above it, which fall away
-    # monotonically, until one is under half an ulp of the total.
-    peak = min(n - 1, math.floor(x))
-    top = math.exp(_log_poisson(peak, x))
-    if top == 0.0:  # every term is below double range
-        return 0.0
-    total = term = top
-    for k in range(peak, 0, -1):  # term k-1 = term k * k / x
-        term *= k / x
-        total += term
-        if term <= total * 2**-54:
-            break
-    term = top
-    for k in range(peak + 1, n):  # term k = term k-1 * x / k
-        term *= x / k
-        total += term
-        if term <= total * 2**-54:
-            break
+def _sums_from_peak(n: int, x: np.ndarray) -> np.ndarray:
+    # exp(-x) * sum_{k<n} x^k / k! per level where exp(-x) alone nears
+    # underflow: start at the largest term, k = min(n - 1, floor(x)),
+    # taken in log space, and add the terms below it, then those above
+    # it, which fall away monotonically, until one is under half an ulp
+    # of the total. The levels step together, each from its own peak,
+    # and a level drops out at its own stopping term, so each sees the
+    # operations of a scalar loop over its terms, in their order.
+    values = x.tolist()
+    peak = np.array([min(n - 1, math.floor(v)) for v in values], dtype=np.int64)
+    top = np.array([math.exp(_log_poisson(k, v)) for k, v in zip(peak.tolist(), values)])
+    total = top.copy()
+    for down in (True, False):
+        # down: term k-1 = term k * k / x for k = peak .. 1;
+        # up: term k = term k-1 * x / k for k = peak + 1 .. n - 1
+        live = np.flatnonzero(peak >= 1 if down else peak < n - 1)
+        k = peak[live] if down else peak[live] + 1
+        term, level, sums = top[live], x[live], total[live]
+        while live.size:
+            term *= k / level if down else level / k
+            sums += term
+            going = term > sums * 2**-54
+            going &= k > 1 if down else k < n - 1
+            k += -1 if down else 1
+            if not going.all():
+                total[live] = sums
+                live, k, term, level, sums = live[going], k[going], term[going], level[going], sums[going]
     return total
 
 

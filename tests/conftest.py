@@ -23,7 +23,7 @@ def record_acceptance(line: str) -> None:
 
 @pytest.fixture(autouse=True)
 def _cold_block_cache():
-    # a test that counts pool tasks or drawn blocks must not find an
+    # a test that counts worker tasks or drawn blocks must not find an
     # earlier test's blocks already drawn
     montecarlo._block.cache_clear()
 

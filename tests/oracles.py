@@ -7,6 +7,9 @@ exception is marcum_series_oracle, which repeats the textbook Marcum
 series on the package's own reg_upper_gamma so that a test can demand
 bit equality from the faster way marcum_q sums the same series wherever
 b^2/2 < 700.
+finite_sum_from_peak_oracle is the scalar loop that gamma tails past
+x = 700 were once summed by, one level at a time, so that a test can
+demand its bits from the levels stepped together.
 carrier_bpsk_oracle likewise keeps an earlier order of operations, the
 amplitude times the symbols and then the carrier, so that a test can
 demand the same bits from the prescaled carrier row.
@@ -21,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special, stats
 
-from crn_sense.specfun import ConvergenceError, reg_upper_gamma
+from crn_sense.specfun import ConvergenceError, _log_poisson, reg_upper_gamma
 
 
 def q_oracle(x: float) -> float:
@@ -40,6 +43,29 @@ def finite_sum_oracle(u: int, x: float) -> float:
     for k in range(u):
         total += x**k / math.factorial(k)
     return math.exp(-x) * total
+
+
+def finite_sum_from_peak_oracle(n: int, x: float) -> float:
+    """e^-x sum_{k<n} x^k / k! from its largest term, k = min(n - 1, floor(x)),
+    taken in log space: the terms below it, then those above it, each
+    side until a term is under half an ulp of the total."""
+    peak = min(n - 1, math.floor(x))
+    top = math.exp(_log_poisson(peak, x))
+    if top == 0.0:  # every term is below double range
+        return 0.0
+    total = term = top
+    for k in range(peak, 0, -1):  # term k-1 = term k * k / x
+        term *= k / x
+        total += term
+        if term <= total * 2**-54:
+            break
+    term = top
+    for k in range(peak + 1, n):  # term k = term k-1 * x / k
+        term *= x / k
+        total += term
+        if term <= total * 2**-54:
+            break
+    return total
 
 
 def marcum_quad_oracle(u: int, a: float, b: float) -> float:

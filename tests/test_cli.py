@@ -21,7 +21,9 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 
+import numpy as np
 import pytest
 
 from crn_sense import analytic, cli, montecarlo
@@ -244,16 +246,17 @@ class TestRoc:
         assert float(row["pf_analytic"]) == 1.0
         assert float(row["pd_analytic"]) == 1.0
 
-    def test_chunk_count_leaves_bytes_unchanged(self, tmp_path):
-        serial = str(tmp_path / "serial.csv")
-        threaded = str(tmp_path / "threaded.csv")
-        main(self.ARGS + ["--out", serial, "--chunks", "1"])
-        montecarlo._block.cache_clear()
-        main(self.ARGS + ["--out", threaded, "--chunks", "4"])
+    def test_chunk_count_leaves_bytes_unchanged(self, tmp_path, monkeypatch):
+        # as many worker threads as chunks, whatever this machine's CPUs
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        for chunks in (1, 2, 3, 4):
+            montecarlo._block.cache_clear()
+            argv = self.ARGS + ["--trials", "5000", "--chunks", str(chunks), "--out", str(tmp_path / f"c{chunks}.csv")]
+            assert main(argv) == 0
         for suffix in ("single", "double", "optimum"):
-            a = read(str(tmp_path / f"serial_{suffix}.csv"))
-            b = read(str(tmp_path / f"threaded_{suffix}.csv"))
-            assert a == b, suffix
+            serial = (tmp_path / f"c1_{suffix}.csv").read_bytes()
+            for chunks in (2, 3, 4):
+                assert (tmp_path / f"c{chunks}_{suffix}.csv").read_bytes() == serial, (suffix, chunks)
 
     def test_rows_ordered_by_decreasing_threshold(self, tmp_path):
         out = str(tmp_path / "curve.csv")
@@ -481,6 +484,21 @@ class TestExitCodes:
         assert main(["roc", "--trials", "1000000000000", "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("memory failure: Unable to allocate 7.28 TiB")
+        assert not os.path.exists(str(tmp_path / "r_single.csv"))
+
+    def test_allocation_failure_in_a_worker_thread_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def fill(*key):
+            if key[-2] == 1:
+                raise MemoryError("Unable to allocate 8.00 KiB for an array with shape (1024,)")
+            return np.zeros(key[-1])
+
+        monkeypatch.setattr(montecarlo, "_block", fill)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        before = threading.active_count()
+        out = str(tmp_path / "r.csv")
+        assert main(["roc", "--chunks", "2", "--trials", "4096", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("memory failure: Unable to allocate 8.00 KiB")
+        assert threading.active_count() == before
         assert not os.path.exists(str(tmp_path / "r_single.csv"))
 
     def test_depth_past_an_ulp_is_usage_error(self, tmp_path, monkeypatch, capsys):

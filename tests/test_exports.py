@@ -4,7 +4,9 @@ import *` cannot break on a name left behind by a deletion; no module
 of the package or the tests imports a name it never reads, as a move
 of code between modules tends to leave behind; and the package defines
 no module-level name that nothing in it reads, as a replaced helper
-tends to leave behind."""
+tends to leave behind; and importing the package, or the CLI with its
+parser built, loads none of the standard or numpy modules that only
+some calls need."""
 
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ import glob
 import importlib
 import os
 import pkgutil
+import subprocess
+import sys
 
 import crn_sense
 
@@ -120,3 +124,24 @@ def test_package_exports_both_band_counters():
     # closed form is resolved_occupied_probability over a tails pair
     assert len(crn_sense.__all__) == 40
     assert {"count_band", "count_bands"} <= set(crn_sense.__all__)
+
+
+def test_import_loads_only_what_every_run_uses():
+    # numpy.random comes with the first draw and statistics with the
+    # first normal quantile; worker threads need no concurrent.futures,
+    # and so nothing loads logging
+    unused = ["numpy.random", "statistics", "concurrent.futures", "logging"]
+    child = (
+        "import sys\n"
+        "import crn_sense\n"
+        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+        "import crn_sense.cli\n"
+        "crn_sense.cli.build_parser()\n"
+        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crn_sense.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, *unused], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

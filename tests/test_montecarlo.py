@@ -17,7 +17,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -137,37 +137,67 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, cpus, workers):
-        # a stand-in pool records its size and runs each task inline,
-        # so no thread is started whatever parallel_chunks asks for;
-        # one allowed worker runs serially, with no pool at all
-        sizes, tasks = [], []
+        # a stand-in thread records itself and runs its work inline when
+        # started, so no thread is started whatever parallel_chunks asks
+        # for; the caller is one of the workers, so one allowed worker
+        # runs serially, with no thread at all
+        started, indices = [], []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        class InlineThread:
+            def __init__(self, target):
+                self.target = target
 
-            def __enter__(self):
-                return self
+            def start(self):
+                started.append(self)
+                self.target()
 
-            def __exit__(self, *exc_info):
-                return False
+            def join(self):
+                pass
 
-            def submit(self, fn, *args):
-                tasks.append(args[-1])
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlinePool)
+        block = montecarlo._block
+        monkeypatch.setattr(montecarlo.threading, "Thread", InlineThread)
+        monkeypatch.setattr(montecarlo, "_block", lambda *key: indices.append(key[-2]) or block(*key))
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         base = dict(num_trials=10 * BLOCK_TRIALS + 17, seed=9, model=GenerativeModel.CHISQ)
         pooled = _statistics(TrialConfig(**base, parallel_chunks=10000), Hypothesis.H0)
-        if workers == 1:
-            assert sizes == [] and tasks == []
-        else:  # one task per block
-            assert sizes == [workers] and sorted(tasks) == list(range(11))
-        montecarlo._block.cache_clear()
+        assert len(started) == workers - 1
+        assert indices == list(range(11))  # every block once, taken in order
+        block.cache_clear()
         assert np.array_equal(pooled, _statistics(TrialConfig(**base), Hypothesis.H0))
+
+    def test_workers_share_the_blocks(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond:
+        # each block is filled exactly once, and the bytes are the serial ones
+        indices = []
+        block = montecarlo._block
+        monkeypatch.setattr(montecarlo, "_block", lambda *key: indices.append(key[-2]) or block(*key))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        base = dict(num_trials=40 * BLOCK_TRIALS + 5, seed=11, model=GenerativeModel.CHISQ)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _statistics(TrialConfig(**base, parallel_chunks=8), Hypothesis.H1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(indices) == list(range(41))
+        block.cache_clear()
+        assert threaded.tobytes() == _statistics(TrialConfig(**base), Hypothesis.H1).tobytes()
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        # one block's fill fails in a worker thread: the caller gets its
+        # exception, and every worker has ended by then
+        def fill(*key):
+            if key[-2] == 3:
+                raise MemoryError("Unable to allocate a block")
+            return np.zeros(key[-1])
+
+        monkeypatch.setattr(montecarlo, "_block", fill)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        before = threading.active_count()
+        config = TrialConfig(num_trials=8 * BLOCK_TRIALS, seed=5, model=GenerativeModel.CHISQ, parallel_chunks=2)
+        with pytest.raises(MemoryError, match="Unable to allocate a block"):
+            _statistics(config, Hypothesis.H0)
+        assert threading.active_count() == before
 
     def test_prefix_property(self):
         # first k trials of a longer run equal a k-trial run outright
@@ -855,41 +885,51 @@ class TestCountBands:
 
 
 class TestOneSortPerHypothesis:
-    """Every counter of the library sorts each hypothesis's draw once:
-    one count of the sorted draw per hypothesis, with all its pairs."""
+    """Every counter of the library orders each hypothesis's draw once:
+    one count per hypothesis, with all its pairs, of the draw's sorted
+    statistics in the pairs' span, from the lowest lambda_low to the
+    highest lambda_high."""
 
     CONFIG = TrialConfig(num_trials=2001, seed=43, model=GenerativeModel.CHISQ)
     PAIRS = [ThresholdPair(12.0, 18.0), ThresholdPair(8.0, 20.0), ThresholdPair(9.0, 9.0)]
+    # name: (call, trials per hypothesis, pairs per count, span)
     CALLS = {
-        "roc_table": (lambda c: roc_table(TestOneSortPerHypothesis.PAIRS, c, BisectionConfig()), (2001, 2001), 6),
-        "collision_sweep": (lambda c: collision_sweep(TestOneSortPerHypothesis.PAIRS[:2], [14.5], c), (1000, 1001), 2),
-        "estimate_double": (lambda c: estimate_double(ThresholdPair(12.0, 18.0), c), (1000, 1001), 1),
-        "estimate_double_resolved": (
-            lambda c: estimate_double(ThresholdPair(12.0, 18.0), c, resolver="bisection-resolve"), (1000, 1001), 1,
+        "roc_table": (
+            lambda c: roc_table(TestOneSortPerHypothesis.PAIRS, c, BisectionConfig()), (2001, 2001), 6, (8.0, 20.0),
         ),
-        "roc_empirical": (lambda c: roc_empirical(np.linspace(2.0, 30.0, 15), c), (2001, 2001), 15),
+        "collision_sweep": (
+            lambda c: collision_sweep(TestOneSortPerHypothesis.PAIRS[:2], [14.5], c), (1000, 1001), 2, (8.0, 20.0),
+        ),
+        "estimate_double": (lambda c: estimate_double(ThresholdPair(12.0, 18.0), c), (1000, 1001), 1, (12.0, 18.0)),
+        "estimate_double_resolved": (
+            lambda c: estimate_double(ThresholdPair(12.0, 18.0), c, resolver="bisection-resolve"),
+            (1000, 1001), 1, (12.0, 18.0),
+        ),
+        "roc_empirical": (lambda c: roc_empirical(np.linspace(2.0, 30.0, 15), c), (2001, 2001), 15, (2.0, 30.0)),
     }
     COUNTERS = {
-        **{name: run for name, (run, _, _) in CALLS.items()},
+        **{name: run for name, (run, _, _, _) in CALLS.items()},
         "estimate_single": lambda c: [estimate_single(9.0, c, truth) for truth in Hypothesis],
     }
 
     @pytest.mark.parametrize("name", CALLS)
     def test_one_count_bands_call_per_hypothesis(self, monkeypatch, name):
-        run, sizes, num_pairs = self.CALLS[name]
+        run, sizes, num_pairs, (low, high) = self.CALLS[name]
         calls = []
         real = montecarlo._count_sorted
 
-        def spy(ordered, pairs, bisection=None):
-            calls.append((ordered, len(pairs)))
-            return real(ordered, pairs, bisection)
+        def spy(ordered, pairs, bisection=None, under=0, over=0):
+            calls.append((ordered.copy(), len(pairs)))
+            return real(ordered, pairs, bisection, under, over)
 
         monkeypatch.setattr(montecarlo, "_count_sorted", spy)
         run(self.CONFIG)
-        h0, h1 = draw_statistics(self.CONFIG, *sizes)
         assert len(calls) == 2
-        assert np.array_equal(calls[0][0], np.sort(h0)) and np.array_equal(calls[1][0], np.sort(h1))
-        assert [pairs for _, pairs in calls] == [num_pairs, num_pairs]
+        for (ordered, pairs), stats in zip(calls, draw_statistics(self.CONFIG, *sizes)):
+            assert pairs == num_pairs
+            span = stats[(stats >= low) & (stats <= high)]
+            assert 0 < span.size < stats.size
+            assert np.array_equal(ordered, np.sort(span))
 
     @pytest.mark.parametrize("name", COUNTERS)
     def test_draws_stay_in_trial_order(self, name):
@@ -899,6 +939,95 @@ class TestOneSortPerHypothesis:
         before = [stats.tobytes() for stats in draw_statistics(self.CONFIG)]
         self.COUNTERS[name](self.CONFIG)
         assert [stats.tobytes() for stats in draw_statistics(self.CONFIG)] == before
+
+
+class TestSpanOrdering:
+    """Sorting only the statistics in the pairs' span gives every count
+    that sorting the whole draw gives, on planted draws."""
+
+    CHUNK = montecarlo._SPAN_CHUNK
+    LEVELS = (2.0, 8.0, 9.0, 12.0, 14.0, 18.0, 20.0, 30.0)
+    PAIR_SETS = {
+        "band": [ThresholdPair(12.0, 18.0)],
+        "zero_width": [ThresholdPair(14.0, 14.0)],
+        "mixed": [ThresholdPair(12.0, 18.0), ThresholdPair(8.0, 20.0), ThresholdPair(9.0, 9.0), ThresholdPair(18.0, 18.0)],
+        "levels": [ThresholdPair(float(k), float(k)) for k in range(31)],
+        "below_the_data": [ThresholdPair(0.0, 1.0), ThresholdPair(0.5, 0.5)],
+        "above_the_data": [ThresholdPair(100.0, 200.0), ThresholdPair(300.0, 300.0)],
+    }
+
+    @classmethod
+    def draws(cls) -> dict[str, np.ndarray]:
+        """Planted draws: data in 1.5..60, ties on every level, NaNs, and runs
+        of whole chunks in the span before and after chunks that are not."""
+        rng = np.random.default_rng(53)
+        data = rng.uniform(1.5, 60.0, 3 * cls.CHUNK + 5)
+        data[rng.choice(data.size, 400, replace=False)] = rng.choice(cls.LEVELS, 400)
+        data[rng.choice(data.size, 30, replace=False)] = np.nan
+        inside = rng.uniform(8.0, 20.0, cls.CHUNK)
+        inside[::97] = np.repeat(cls.LEVELS[1:-1], -(-inside[::97].size // 6))[: inside[::97].size]
+        return {
+            "ties_and_nans": data,
+            "chunk_runs": np.concatenate([inside, data[: cls.CHUNK], inside[::-1], data[-7:], inside[:9]]),
+            "all_nan": np.full(cls.CHUNK + 3, np.nan),
+            "one": np.array([14.0]),
+            "one_nan": np.array([np.nan]),
+            "empty": np.array([]),
+        }
+
+    @staticmethod
+    def full_sort(stats, pairs, bisection):
+        return montecarlo._count_sorted(np.sort(stats), pairs, bisection)
+
+    @pytest.mark.parametrize("pairs", PAIR_SETS)
+    def test_count_bands_equals_a_full_sort(self, pairs):
+        pairs = self.PAIR_SETS[pairs]
+        for name, stats in self.draws().items():
+            before = stats.copy()
+            for bisection in (None, *map(BisectionConfig, range(1, 15))):
+                want = self.full_sort(stats, pairs, bisection)
+                assert count_bands(stats, pairs, bisection) == want, (name, bisection)
+                assert montecarlo._count_span(stats.copy(), pairs, bisection) == want, (name, bisection)
+            assert np.array_equal(stats, before, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["ties_and_nans", "chunk_runs"])
+    def test_every_counter_equals_a_full_sort(self, monkeypatch, name):
+        # the counters read the planted draw in place of their own; each
+        # count of it must be the full sort's
+        stats = self.draws()[name]
+        monkeypatch.setattr(montecarlo, "_statistics", lambda config, truth, count=None: stats.copy())
+        n = stats.size
+        config = TrialConfig(num_trials=n, seed=1, model=GenerativeModel.CHISQ)
+        both = replace(config, num_trials=2 * n)
+        pair = ThresholdPair(12.0, 18.0)
+        pairs = self.PAIR_SETS["mixed"]
+        for level in self.LEVELS:
+            [want] = self.full_sort(stats, [ThresholdPair(level, level)], None)
+            assert estimate_single(level, config, Hypothesis.H0).successes == want.above
+        for resolver, bisection in (("report-fuzzy", None), ("bisection-resolve", BisectionConfig())):
+            [want] = self.full_sort(stats, [pair], bisection)
+            report = estimate_double(pair, both, resolver)
+            assert (report.fuzzy_rate_h0.successes, report.fuzzy_rate_h1.successes) == (want.inside, want.inside)
+            if bisection is None:
+                assert (report.pf.successes, report.pc.successes) == (want.above, want.below)
+            else:
+                assert report.pf.successes == want.resolved_occupied
+        for depth in (1, 8, 14):
+            rows = collision_sweep(pairs[:2], [14.5], both, BisectionConfig(max_iter=depth))
+            for row, want in zip(rows, self.full_sort(stats, pairs[:2], BisectionConfig(max_iter=depth)), strict=True):
+                assert (row.pf.successes, row.pc_double.successes) == (want.above, want.below)
+                assert row.pc_optimum.successes == n - want.resolved_occupied
+        levels = self.PAIR_SETS["levels"]
+        curve = roc_empirical([pair.lambda_low for pair in levels], config)
+        want = self.full_sort(stats, levels[::-1], None)
+        assert [point.pf for point in curve.points] == [counts.above / n for counts in want]
+        table = roc_table(pairs, config, BisectionConfig(max_iter=14))
+        bands = [ThresholdPair(p.lambda_low, p.lambda_low) for p in pairs]
+        singles, doubles = self.full_sort(stats, bands, None), self.full_sort(stats, pairs, BisectionConfig(max_iter=14))
+        for index in range(len(pairs)):
+            assert table["single"][index][1].successes == singles[index].above
+            assert table["double"][index][1].successes == doubles[index].above
+            assert table["optimum"][index][2].successes == doubles[index].resolved_occupied
 
 
 class TestCountersHoldOneDraw:

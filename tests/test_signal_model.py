@@ -278,6 +278,26 @@ class TestBlockGenerator:
             got = _generator_at(seed, stream, draw).random(len(whole) - draw)
             assert got.tobytes() == whole[draw:].tobytes(), draw
 
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 48) | 7, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 1, (1 << 48) | 7, 2**64 - 1])
+    def test_keyed_streams_draw_as_a_philox_keyed_by_seed_and_stream(self, seed, stream):
+        key = np.array([seed, stream], dtype=np.uint64)
+        for draw in (0, 4, 2**40):
+            want = np.random.Generator(np.random.Philox(key=key, counter=draw // 4)).random(9)
+            assert _generator_at(seed, stream, draw).random(9).tobytes() == want.tobytes(), draw
+        want = np.random.Generator(np.random.Philox(key=key)).random(9)
+        assert block_generator(seed, stream).random(9).tobytes() == want.tobytes()
+
+    def test_keyed_stream_holds_its_key_not_a_seed_sequence(self):
+        # no SeedSequence, so no OS entropy is drawn, and none to spawn from
+        bit_generator = block_generator(5, 3).bit_generator
+        assert not isinstance(bit_generator.seed_seq, np.random.SeedSequence)
+        assert bit_generator.seed_seq.key == (5, 3)
+        assert bit_generator.seed_seq.generate_state(2, np.uint64).tolist() == [5, 3]
+        assert "keyed" in block_generator.__doc__ and "cannot `spawn`" in block_generator.__doc__
+        with pytest.raises(TypeError, match="spawn"):
+            block_generator(5, 3).spawn(1)
+
     def test_generator_at_refuses_a_partial_counter(self):
         with pytest.raises(ValueError, match="multiple of 4"):
             _generator_at(5, 0, 6)

@@ -25,6 +25,7 @@ from scipy import special
 
 import oracles
 from oracles import (
+    finite_sum_from_peak_oracle,
     finite_sum_oracle,
     marcum_quad_oracle,
     marcum_series_oracle,
@@ -348,19 +349,32 @@ class TestMarcumQ:
     def test_sums_each_level_from_its_peak_once(self, monkeypatch):
         # past x = 700 a level's first tail is summed from its peak, and
         # every later order adds one term to it: one peak sum per level,
-        # not one per level and order
+        # not one per level and order, and all of a call's levels at once
         calls = []
-        peak_sum = specfun._finite_sum_from_peak
+        peak_sums = specfun._sums_from_peak
 
         def counted(n, x):
-            calls.append(n)
-            return peak_sum(n, x)
+            calls.append((n, x.size))
+            return peak_sums(n, x)
 
-        monkeypatch.setattr(specfun, "_finite_sum_from_peak", counted)
+        monkeypatch.setattr(specfun, "_sums_from_peak", counted)
         b = np.sqrt(2.0 * np.linspace(690.0, 760.0, 29))
         marcum_q(5, math.sqrt(400.0), b)
         assert np.count_nonzero(b * b / 2.0 >= 700.0) == 25
-        assert calls == [5] * 25
+        assert calls == [(5, 25)]
+
+    @pytest.mark.parametrize("n", [1, 5, 1000, 10**6])
+    def test_peak_sums_step_together_with_the_scalar_bits(self, n):
+        # each level keeps its own peak, term order and stopping test
+        rng = np.random.default_rng(n)
+        x = np.concatenate([
+            [700.0, np.nextafter(700.0, np.inf), 999.5, 1000.0, n - 1.0, n - 0.5, n, n + 0.5, 10.0**6],
+            np.geomspace(700.0, 1e6, 40), rng.uniform(700.0, 2000.0, 20), rng.uniform(700.0, 1e6, 4),
+        ])
+        x = rng.permutation(x[x >= 700.0])
+        got = specfun._sums_from_peak(n, x)
+        want = [finite_sum_from_peak_oracle(n, v) for v in x.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_tails_past_x_700_against_scipy(self):
         # levels about the statistic's mean and from x = 700 to 1000, u = 1
